@@ -2,9 +2,10 @@
 
 All bounds are soft budgets: operations raise OrderBudgetExceeded or
 BudgetExceeded when they would grow past them, they never silently
-truncate.  ORDER_MAX may be overridden with the CCT_ORDER_MAX environment
-variable; every operation that consumes a limit also accepts it as an
-explicit argument.
+truncate.  No limit trades exactness for speed: group axioms and
+homomorphism checks are exact at every size.  ORDER_MAX may be overridden
+with the CCT_ORDER_MAX environment variable; every operation that consumes
+a limit also accepts it as an explicit argument.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ SUBGROUP_ENUM_MAX = 128
 HOM_DOMAIN_MAX = 512
 
 DEFAULT_MAX_COSETS = 10**6
-
-# Exhaustive axiom/homomorphism scans switch to sampling above these sizes.
-EXHAUSTIVE_ASSOC_MAX = 256
-EXHAUSTIVE_HOM_CHECK_MAX = 128
-SAMPLED_PAIRS = 10**4
 
 
 def order_max() -> int:

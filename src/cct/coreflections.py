@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, Subgroup, is_normal, quotient, subgroup_generated
+from .groups import FiniteGroup, Subgroup, _Closure, is_normal, quotient
 from .homs import Homomorphism, iter_homs
 
 __all__ = [
@@ -74,15 +74,16 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
     """Subgroup generated by the images of all homomorphisms from `gen`.
 
     Raises OrderBudgetExceeded when a factor is too large to enumerate
-    homomorphisms from.  The result is always normal (conjugating a
+    homomorphisms from.  The closure takes each homomorphism's generator
+    images as the enumeration yields them and stops enumerating once it is
+    the whole target.  The result is always normal (conjugating a
     homomorphism yields another one), which is asserted before returning.
     """
     spec = GeneratorSpec.of(gen)
-    seeds: set[int] = set()
-    for factor in spec.factors:
-        for hom in iter_homs(factor, target):
-            seeds.update(hom.gen_images)
-    result = subgroup_generated(target, seeds)
+    images = (y for factor in spec.factors
+              for hom in iter_homs(factor, target)
+              for y in hom.gen_images)
+    result = _Closure(target).extend(images).subgroup()
     if not is_normal(target, result):
         raise AssertionError("socle is not normal: hom enumeration is broken")
     return result

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 import cct
+
+# Property tests draw the same examples on every run and leave no example
+# database behind; group operations vary too much in time for a deadline.
+settings.register_profile("cct", derandomize=True, database=None, deadline=None)
+settings.load_profile("cct")
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,11 @@
 """Socle, radical, and the invariants that tie them together."""
 
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cct
 
@@ -59,6 +62,47 @@ def test_socle_of_free_product_is_join_of_factor_socles(standard_groups):
             | cct.socle(standard_groups["z3"], target).members,
         )
         assert cct.socle(spec, target).members == joined.members
+
+
+@functools.cache
+def _socle_pairs():
+    gens = [cct.cyclic(2), cct.cyclic(3), cct.abelian([2, 2]), cct.symmetric(3)]
+    targets = [cct.symmetric(4), cct.dihedral(8), cct.quaternion(), cct.alternating(4),
+               cct.cyclic(6), cct.abelian([2, 4]), cct.dihedral(12)]
+    return gens, targets
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_socle_is_closure_of_all_hom_images(data):
+    gens, targets = _socle_pairs()
+    factors = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=2))
+    target = data.draw(st.sampled_from(targets))
+    images = set()
+    for factor in factors:
+        for hom in cct.enumerate_homs(factor, target):
+            images.update(hom.full_map)
+    expect = cct.subgroup_generated(target, images)
+    assert cct.socle(cct.GeneratorSpec(tuple(factors)), target) == expect
+
+
+def test_socle_stops_once_it_has_the_whole_target():
+    # regression bound on work: the closure skips seeds it already holds and
+    # the hom scan stops at the whole group (about 41k and 25k products)
+    s7 = cct.symmetric(7)
+    mul = s7.mul
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    s7.mul = counted
+    for gen, order in ((cct.cyclic(3), 2520), (cct.symmetric(3), 5040)):
+        calls = 0
+        assert cct.socle(gen, s7).order == order
+        assert calls < 100_000
 
 
 def test_generator_spec_validation(standard_groups):

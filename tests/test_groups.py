@@ -1,8 +1,12 @@
 """Group core: constructions, subgroup algebra, quotients."""
 
+import functools
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cct
 from cct.errors import NotAGroup, NotNormal, OrderBudgetExceeded
@@ -17,6 +21,42 @@ def brute_closure(group, seed):
         if new <= members:
             return frozenset(members)
         members |= new
+
+
+def naive_closure(group, seeds):
+    """Oracle: BFS from the identity, multiplying every member by every seed."""
+    members = {0}
+    frontier = [0]
+    for x in frontier:
+        for g in seeds:
+            y = group.mul(x, g)
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+def is_group_table(table):
+    """Oracle: identity, two-sided inverses and associativity on all triples."""
+    n = len(table)
+    idents = [e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n))]
+    if not idents:
+        return False
+    e = idents[0]
+    if not all(any(table[x][y] == e == table[y][x] for y in range(n)) for x in range(n)):
+        return False
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def intercalate_table(n):
+    """Z/n with rows 1, n/2 + 1 and columns 2, n/2 + 2 swapped: a Latin
+    square with identity and inverses, associative nowhere near row 1."""
+    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    h = n // 2
+    for r in (1, h + 1):
+        table[r][2], table[r][h + 2] = table[r][h + 2], table[r][2]
+    return table
 
 
 def brute_subgroups(group):
@@ -68,6 +108,54 @@ def test_from_cayley_nonassociative_witness():
     with pytest.raises(NotAGroup) as exc:
         cct.from_cayley(table)
     assert exc.value.witness in bad_triples
+
+
+@functools.cache
+def _small_tables():
+    return [cayley_table(g) for g in (
+        cct.cyclic(7), cct.abelian([2, 2]), cct.symmetric(3), cct.dihedral(8),
+        cct.quaternion(), cct.dihedral(10), cct.alternating(4), cct.abelian([2, 6]),
+    )]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_from_cayley_is_exact_on_corrupted_tables(data):
+    table = [row[:] for row in data.draw(st.sampled_from(_small_tables()))]
+    n = len(table)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[a][b] = data.draw(st.integers(0, n - 1))
+    if is_group_table(table):
+        assert cct.from_cayley(table).order == n
+        return
+    with pytest.raises(NotAGroup) as exc:
+        cct.from_cayley(table)
+    w = exc.value.witness
+    if isinstance(w, tuple):
+        a, b, c = w
+        assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_from_cayley_checks_every_generator():
+    # Z/2 x Z/4 with the intercalate at rows and columns 2, 3 swapped: the
+    # first generator still associates with everything, the second does not
+    table = cayley_table(cct.abelian([2, 4]))
+    for r in (2, 3):
+        table[r][2], table[r][3] = table[r][3], table[r][2]
+    assert not is_group_table(table)
+    with pytest.raises(NotAGroup) as exc:
+        cct.from_cayley(table)
+    a, b, c = exc.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_from_cayley_rejects_intercalate_512():
+    table = intercalate_table(512)
+    with pytest.raises(NotAGroup) as exc:
+        cct.from_cayley(table)
+    a, b, c = exc.value.witness
+    assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 def test_from_cayley_rejects_no_identity():
@@ -148,6 +236,17 @@ def test_dihedral_structure():
         cct.dihedral(7)
 
 
+@pytest.mark.parametrize("factors", [[2, 4, 6], [4, 12], [2] * 6, [3, 1, 5], [9]])
+def test_abelian_table_adds_componentwise(factors):
+    g = cct.abelian(factors)
+    coords = [tuple(map(int, re.findall(r"\d+", g.label(x)))) for x in range(g.order)]
+    assert len(set(coords)) == g.order
+    for x in range(g.order):
+        for y in range(g.order):
+            expect = tuple((u + v) % m for u, v, m in zip(coords[x], coords[y], factors))
+            assert coords[g.mul(x, y)] == expect
+
+
 def test_abelian_family():
     g = cct.abelian([2, 4])
     assert g.order == 8 and g.is_abelian
@@ -208,6 +307,25 @@ def test_subgroup_generated_matches_brute_closure(standard_groups):
         for seed in itertools.combinations(range(g.order), 2):
             fast = cct.subgroup_generated(g, seed).members
             assert fast == brute_closure(g, seed)
+
+
+@functools.cache
+def _closure_groups():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 100)
+        s7 = cct.symmetric(7)
+    assert s7.backing == "permutation-composition"
+    return [cct.symmetric(4), cct.dihedral(16), cct.abelian([2, 4, 6]), s7]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_subgroup_generated_matches_naive_closure(data):
+    group = data.draw(st.sampled_from(_closure_groups()))
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    sub = cct.subgroup_generated(group, seeds)
+    assert sub.members == naive_closure(group, seeds)
+    assert group.order % sub.order == 0
 
 
 def test_normal_closure_examples(standard_groups):

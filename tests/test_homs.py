@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -106,6 +107,33 @@ def test_every_hom_validates(standard_groups):
         for h in (standard_groups["d8"], standard_groups["a4"]):
             for hom in cct.enumerate_homs(a, h):
                 hom.validate()
+
+
+def test_validate_is_exact_on_large_domains():
+    z256, z2 = cct.cyclic(256), cct.cyclic(2)
+    parity = [x % 2 for x in range(256)]
+    cct.Homomorphism(z256, z2, (1,), tuple(parity)).validate()
+    for bad in (37, 255):
+        broken = parity[:]
+        broken[bad] ^= 1
+        with pytest.raises(AssertionError):
+            cct.Homomorphism(z256, z2, (1,), tuple(broken)).validate()
+
+
+def test_validate_checks_every_generator_edge():
+    # f(a, b) = a + bump(b) on Z/4 x Z/64 respects every edge of the first
+    # generator (1, 0); a bump at b = 37 breaks only edges of (0, 1)
+    g, z4 = cct.abelian([4, 64]), cct.cyclic(4)
+    coords = [tuple(map(int, re.findall(r"\d+", g.label(x)))) for x in range(g.order)]
+    assert coords[g.generators[0]] == (1, 0)
+    for bump in (0, 2):
+        f = tuple((a + (bump if b == 37 else 0)) % 4 for a, b in coords)
+        hom = cct.Homomorphism(g, z4, tuple(f[x] for x in g.generators), f)
+        if bump:
+            with pytest.raises(AssertionError):
+                hom.validate()
+        else:
+            hom.validate()
 
 
 def test_domain_budget():
