@@ -141,9 +141,9 @@ def _abelian_types(n: int):
     while stack:
         chosen, i = stack.pop()
         if i == len(per_prime):
-            factors = tuple(sorted(x for group in chosen for x in group))
-            if len(factors) > 1:
-                yield factors
+            # cyclic exactly when every prime has a single part (CRT)
+            if any(len(parts) > 1 for parts in chosen):
+                yield tuple(sorted(x for parts in chosen for x in parts))
             continue
         for option in reversed(per_prime[i]):
             stack.append((chosen + (option,), i + 1))

@@ -24,7 +24,7 @@ from .coreflections import (
     socle,
     verify_radical_property,
 )
-from .errors import BudgetExceeded, CctError, OrderBudgetExceeded, ParseError, UndefinedName
+from .errors import CctError, UndefinedName
 from .groups import FiniteGroup, Subgroup, is_normal
 from .homs import enumerate_homs, isomorphism
 from .specfile import parse_spec_file, resolve_name
@@ -346,16 +346,7 @@ def run(argv, out=None, err=None) -> int:
         if args.command in _NEEDS_TARGET and not args.target:
             raise ValueError(f"--target is required for {args.command}")
         result, lines, code = _HANDLERS[args.command](env, args)
-    except (ParseError, UndefinedName) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (BudgetExceeded, OrderBudgetExceeded) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except CctError as exc:
+    except (CctError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
     elapsed = time.perf_counter() - start

@@ -14,8 +14,9 @@ import os
 
 ORDER_MAX_DEFAULT = 20000
 
-# Cayley tables are stored up to this order; larger groups keep a
-# permutation representation with a hash index (O(n^2) memory cliff).
+# Cayley tables are stored up to this order, each built from 2 n |gens|
+# products plus n^2 list reads; larger groups keep a permutation
+# representation with a hash index (O(n^2) memory cliff).
 CAYLEY_TABLE_MAX = 4096
 
 SUBGROUP_ENUM_MAX = 128

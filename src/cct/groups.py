@@ -7,13 +7,16 @@ Repeated runs therefore number elements identically, which every
 downstream enumeration relies on.
 
 Groups of order at most CAYLEY_TABLE_MAX store a full multiplication
-table; larger permutation groups compose permutations and look up the
-result in a hash index.  A group's elements and table never change after
-construction; the element-order and abelian-flag caches are filled lazily.
+table, built along the BFS tree from one left-multiplication column per
+generator: 2 n |gens| products plus n^2 list reads, in n^2 memory.  Larger
+permutation groups compose permutations and look up the result in a hash
+index.  A group's elements and table never change after construction; the
+element-order, abelian-flag and minimal-generator caches are filled lazily.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -60,10 +63,18 @@ class FiniteGroup:
         self._perm_index = perm_index
         self._element_orders: list[int] | None = None
         self._abelian: bool | None = None
+        # filled by homs.minimal_generating_set
+        self._min_gens: tuple[int, ...] | None = None
         if not self.generators:
             raise ValueError("generator list must be nonempty")
         if self.labels is not None and len(self.labels) != order:
             raise ValueError("label list length must match order")
+
+    def relabelled(self, labels: Sequence[str]) -> "FiniteGroup":
+        """The same group, sharing this one's tables, with new element labels."""
+        return FiniteGroup(self.order, self._table, self._inv, self.generators, labels,
+                           backing=self.backing, perms=self._perms,
+                           perm_index=self._perm_index)
 
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
@@ -142,12 +153,12 @@ class Subgroup:
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (labels inherited)."""
-        elems = list(self.sorted_members())
-        pos = {e: i for i, e in enumerate(elems)}
-        table = [[pos[self.parent.mul(a, b)] for b in elems] for a in elems]
-        labels = [self.parent.label(e) for e in elems]
-        gens = _greedy_generators(len(elems), table)
-        return _from_table(table, gens, labels)
+        mul = self.parent.mul
+        gens = _greedy_generators(self.sorted_members(), mul)
+        order, pos, parent, edge = _bfs_order(0, gens, mul, self.order + 1)
+        table, inv = _tree_table(order, pos, gens, mul, parent, edge)
+        return FiniteGroup(self.order, table, inv, [pos[g] for g in gens],
+                           [self.parent.label(e) for e in order])
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -201,64 +212,78 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[i] for i in p)
 
 
-def _bfs_order(identity, gens: Sequence, mul: Callable, limit: int) -> tuple[list, dict]:
-    """Closure of `gens` from `identity`, in canonical BFS order."""
+def _bfs_order(identity, gens: Sequence, mul: Callable,
+               limit: int) -> tuple[list, dict, list[int], list[int]]:
+    """Closure of `gens` from `identity`, in canonical BFS order, with its tree.
+
+    Element a > 0 was first reached as order[parent[a]] * gens[edge[a]].
+    """
     order = [identity]
     pos = {identity: 0}
+    parent = [0]
+    edge = [0]
     head = 0
     while head < len(order):
         x = order[head]
-        head += 1
-        for g in gens:
+        for i, g in enumerate(gens):
             y = mul(x, g)
             if y not in pos:
                 if len(order) >= limit:
                     raise OrderBudgetExceeded(limit, "group closure")
                 pos[y] = len(order)
                 order.append(y)
-    return order, pos
+                parent.append(head)
+                edge.append(i)
+        head += 1
+    return order, pos, parent, edge
 
 
-def _greedy_generators(n: int, table: list[list[int]], identity: int = 0) -> list[int]:
-    """Smallest-index elements added until their closure is everything."""
-    gens: list[int] = []
+def _tree_table(order: list, pos: dict, gens: Sequence, mul: Callable,
+                parent: list[int], edge: list[int]) -> tuple[list[list[int]], list[int]]:
+    """Cayley table and inverses of a BFS closure, built along its BFS tree.
+
+    If a was first reached as p * g, then x_a x_j = x_p (g x_j), so row a is
+    row p read through g's left-multiplication column L_g[j] = pos[g x_j].
+    That costs n products per generator used on a tree edge (2 n |gens|
+    with the BFS itself) and n^2 list reads.  Rows go straight into the
+    table, since the parent's row is always built first.
+    """
+    columns: dict[int, list[int]] = {}
+    table = [list(range(len(order)))]
+    for a in range(1, len(order)):
+        col = columns.get(edge[a])
+        if col is None:
+            g = gens[edge[a]]
+            col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
+        row = table[parent[a]]
+        table.append([row[k] for k in col])
+    return table, [row.index(0) for row in table]
+
+
+def _greedy_generators(elements: Sequence, mul: Callable, identity=0) -> list:
+    """Elements taken in list order while outside the closure of those before."""
+    gens: list = []
     closure = {identity}
-    for x in range(n):
+    for x in elements:
         if x not in closure:
             gens.append(x)
-            order, _ = _bfs_order(identity, gens, lambda a, b: table[a][b], n + 1)
+            order, _, _, _ = _bfs_order(identity, gens, mul, len(elements) + 1)
             closure = set(order)
-            if len(closure) == n:
+            if len(closure) == len(elements):
                 break
-    if not gens:
-        gens = [identity]
-    return gens
+    return gens or [identity]
 
 
-def _from_table(table: list[list[int]], gens: Sequence[int],
-                labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
-    """Renumber a trusted multiplication table into canonical BFS order."""
-    n = len(table)
-    order, pos = _bfs_order(identity, list(gens), lambda a, b: table[a][b], n + 1)
+def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
+              labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
+    """Renumber a trusted product on 0..n-1 into canonical BFS order."""
+    order, pos, parent, edge = _bfs_order(identity, gens, mul, n + 1)
     if len(order) != n:
         raise ValueError("generators do not generate the whole table")
-    new_table = [[pos[table[a][b]] for b in order] for a in order]
-    inv = _invert_table(new_table)
+    new_table, inv = _tree_table(order, pos, gens, mul, parent, edge)
     new_labels = [labels[e] for e in order] if labels is not None else None
     new_gens = _dedupe([pos[g] for g in gens]) or [0]
     return FiniteGroup(n, new_table, inv, new_gens, new_labels)
-
-
-def _invert_table(table: list[list[int]]) -> list[int]:
-    n = len(table)
-    inv = [0] * n
-    for a in range(n):
-        row = table[a]
-        for b in range(n):
-            if row[b] == 0:
-                inv[a] = b
-                break
-    return inv
 
 
 def _dedupe(xs: Iterable[int]) -> list[int]:
@@ -306,7 +331,7 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
         if not any(rows[x][y] == identity and rows[y][x] == identity for y in range(n)):
             raise NotAGroup("element has no two-sided inverse", witness=x)
 
-    gens = _greedy_generators(n, rows, identity)
+    gens = _greedy_generators(range(n), lambda a, b: rows[a][b], identity)
     for g in gens:
         row_g = rows[g]
         for a in range(n):
@@ -316,7 +341,7 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise NotAGroup("multiplication is not associative", witness=(a, g, c))
-    return _from_table(rows, sorted(gens), labels, identity)
+    return _from_mul(n, lambda a, b: rows[a][b], sorted(gens), labels, identity)
 
 
 def cycle_notation(perm: Sequence[int]) -> str:
@@ -362,15 +387,15 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int,
         if sorted(g) != list(range(degree)):
             raise ValueError(f"{g} is not a permutation of degree {degree}")
         gen_perms.append(g)
-    order, pos = _bfs_order(identity, gen_perms, _compose, limit)
+    order, pos, parent, edge = _bfs_order(identity, gen_perms, _compose, limit)
     n = len(order)
     labels = [cycle_notation(p) for p in order]
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
     gen_idx = [pos[g] for g in gen_perms] or [0]
     if n <= config.CAYLEY_TABLE_MAX:
-        table = [[pos[_compose(a, b)] for b in order] for a in order]
-        return FiniteGroup(n, table, _invert_table(table), gen_idx, labels)
+        table, inv = _tree_table(order, pos, gen_perms, _compose, parent, edge)
+        return FiniteGroup(n, table, inv, gen_idx, labels)
     inv = [pos[_invert_perm(p)] for p in order]
     return FiniteGroup(n, None, inv, gen_idx, labels,
                        backing="permutation-composition", perms=order, perm_index=pos)
@@ -393,9 +418,8 @@ def cyclic(n: int) -> FiniteGroup:
         raise ValueError("cyclic order must be positive")
     if n > config.order_max():
         raise OrderBudgetExceeded(config.order_max(), f"cyclic {n}")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
     gens = [1] if n > 1 else [0]
-    return _from_table(table, gens, [str(i) for i in range(n)])
+    return _from_mul(n, lambda a, b: (a + b) % n, gens, [str(i) for i in range(n)])
 
 
 def abelian(factors: Sequence[int]) -> FiniteGroup:
@@ -403,28 +427,20 @@ def abelian(factors: Sequence[int]) -> FiniteGroup:
     factors = [int(m) for m in factors]
     if any(m < 1 for m in factors):
         raise ValueError("cyclic factors must be positive")
-    n = 1
-    for m in factors:
-        n *= m
+    n = math.prod(factors)
     if n > config.order_max():
         raise OrderBudgetExceeded(config.order_max(), f"abelian {factors}")
 
-    def decode(x: int) -> tuple[int, ...]:
-        out = []
-        for m in reversed(factors):
-            x, r = divmod(x, m)
-            out.append(r)
-        return tuple(reversed(out))
+    # mixed radix, last factor least significant
+    places = [n // math.prod(factors[:i + 1]) for i in range(len(factors))]
+    digits = list(zip(factors, places))
 
-    # mixed radix, last factor least significant: append one factor at a time
-    table: list[list[int]] = [[0]]
-    gens: list[int] = []
-    for m in factors:
-        cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
-        table = [[t * m + c for t in row for c in ci] for row in table for ci in cyc]
-        gens = [x * m for x in gens] + ([1] if m > 1 else [])
-    labels = ["(" + ",".join(map(str, decode(x))) + ")" for x in range(n)]
-    return _from_table(table, gens or [0], labels)
+    def mul(x: int, y: int) -> int:
+        return sum((x // q + y // q) % m * q for m, q in digits)
+
+    labels = ["(" + ",".join(str(x // q % m) for m, q in digits) + ")" for x in range(n)]
+    gens = [q for m, q in digits if m > 1] or [0]
+    return _from_mul(n, mul, gens, labels)
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -441,11 +457,10 @@ def dihedral(order: int) -> FiniteGroup:
         i = (i1 - i2) % m if j1 else (i1 + i2) % m
         return (j1 ^ j2) * m + i
 
-    table = [[mul(x, y) for y in range(order)] for x in range(order)]
     labels = [("s" if x // m else "") + (f"r{x % m}" if x % m else ("" if x // m else "e"))
               for x in range(order)]
     gens = ([1] if m > 1 else []) + [m]
-    return _from_table(table, gens, labels)
+    return _from_mul(order, mul, gens, labels)
 
 
 _QUAT_MUL = {
@@ -458,7 +473,7 @@ _QUAT_MUL = {
 
 
 def quaternion() -> FiniteGroup:
-    """The eight unit quaternions, built from an explicit Cayley table."""
+    """The eight unit quaternions, multiplied through their basis products."""
     units = [(1, "1"), (1, "i"), (1, "j"), (1, "k"), (-1, "1"), (-1, "i"), (-1, "j"), (-1, "k")]
     pos = {u: x for x, u in enumerate(units)}
 
@@ -468,9 +483,8 @@ def quaternion() -> FiniteGroup:
         s3, b3 = _QUAT_MUL[(b1, b2)]
         return pos[(s1 * s2 * s3, b3)]
 
-    table = [[mul(x, y) for y in range(8)] for x in range(8)]
     labels = [("-" if s < 0 else "") + b for s, b in units]
-    return _from_table(table, [1, 2], labels)
+    return _from_mul(8, mul, [1, 2], labels)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -510,12 +524,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         a2, b2 = divmod(y, hn)
         return g.mul(a1, a2) * hn + h.mul(b1, b2)
 
-    table = [[mul(x, y) for y in range(n)] for x in range(n)]
     labels = [f"({g.label(x // hn)},{h.label(x % hn)})" for x in range(n)]
     gens = _dedupe(
         [a * hn for a in g.generators if a] + [b for b in h.generators if b]
     ) or [0]
-    return _from_table(table, gens, labels)
+    return _from_mul(n, mul, gens, labels)
 
 
 _FAMILIES = {
@@ -668,17 +681,17 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
             for k in kernel.members:
                 coset_of[group.mul(x, k)] = cid
     m = len(reps)
-    table = [[coset_of[group.mul(reps[a], reps[b])] for b in range(m)] for a in range(m)]
-    labels = [group.label(r) for r in reps]
     gen_cosets = _dedupe(coset_of[g] for g in group.generators if coset_of[g] != 0) or [0]
 
-    order, pos = _bfs_order(0, gen_cosets, lambda a, b: table[a][b], m + 1)
+    def mul(a: int, b: int) -> int:
+        return coset_of[group.mul(reps[a], reps[b])]
+
+    order, pos, parent, edge = _bfs_order(0, gen_cosets, mul, m + 1)
     if len(order) != m:
         raise AssertionError("generator images fail to generate the quotient")
-    new_table = [[pos[table[a][b]] for b in order] for a in order]
-    target = FiniteGroup(m, new_table, _invert_table(new_table),
-                         _dedupe(pos[c] for c in gen_cosets) or [0],
-                         [labels[c] for c in order])
+    table, inv = _tree_table(order, pos, gen_cosets, mul, parent, edge)
+    target = FiniteGroup(m, table, inv, [pos[c] for c in gen_cosets],
+                         [group.label(reps[c]) for c in order])
     projection = tuple(pos[coset_of[x]] for x in range(n))
 
     bad = _first_bad_edge(group, target, projection)

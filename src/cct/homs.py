@@ -132,9 +132,8 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """
     if group.order > config.order_max():
         raise OrderBudgetExceeded(config.order_max(), "minimal generating set")
-    cached = getattr(group, "_min_gens", None)
-    if cached is not None:
-        return cached
+    if group._min_gens is not None:
+        return group._min_gens
     result: tuple[int, ...] | None = None
     if group.order == 1:
         result = ()

@@ -505,6 +505,4 @@ def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
             labels.append("".join(names[p] for p in word))
         else:
             labels.append("*".join(names[p] for p in word))
-    return FiniteGroup(group.order, group._table, group._inv, group.generators,
-                       labels, backing=group.backing, perms=group._perms,
-                       perm_index=group._perm_index)
+    return group.relabelled(labels)

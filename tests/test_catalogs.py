@@ -42,6 +42,41 @@ def test_catalog_names_unique(catalog24):
     assert len(names) == len(set(names))
 
 
+def partition_count(e):
+    """Oracle: number of partitions of e, by the coin-change recurrence."""
+    ways = [1] + [0] * e
+    for part in range(1, e + 1):
+        for total in range(part, e + 1):
+            ways[total] += ways[total - part]
+    return ways[e]
+
+
+def abelian_type_count(n):
+    """Oracle: abelian groups of order n up to isomorphism, prod p(e) over p^e || n."""
+    count, d = 1, 2
+    while n > 1:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        count *= partition_count(e)
+        d += 1
+    return count
+
+
+def test_catalog_has_each_abelian_type_once():
+    catalog = cct.build_small_catalog(64)
+    for n in range(1, 65):
+        entries = [e for e in catalog if e.group.order == n
+                   and e.recipe.split()[0] in ("cyclic", "abelian")]
+        for e in entries:
+            cyclic = any(e.group.element_order(x) == n for x in range(n))
+            assert cyclic == (e.recipe.split()[0] == "cyclic"), e.name
+        # an abelian group is determined by how many elements it has of each order
+        histograms = {e.group.order_histogram() for e in entries}
+        assert len(histograms) == len(entries) == abelian_type_count(n), n
+
+
 def test_catalog_order8_slice_has_five_classes(catalog8):
     slice8 = Catalog([e for e in catalog8 if e.group.order == 8])
     classes = cct.classify_up_to_iso(slice8)

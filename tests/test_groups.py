@@ -502,3 +502,101 @@ def test_permutation_backing_above_table_cap(monkeypatch):
     x = s5.generators[0]
     assert s5.mul(x, s5.inv(x)) == 0
     assert cct.subgroup_generated(s5, list(s5.generators)).order == 120
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables built along the BFS tree
+
+
+def bfs_perms(gens, degree):
+    """Oracle: BFS over permutation tuples, composing "p then q" directly."""
+    identity = tuple(range(degree))
+    order, seen = [identity], {identity}
+    for x in order:
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_from_permutations_table_matches_all_products(data):
+    degree = data.draw(st.integers(1, 6))
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    gens = [tuple(g) for g in gens]
+    if gens and data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))), tuple(range(degree)))
+    if gens and data.draw(st.booleans()):
+        gens.append(data.draw(st.sampled_from(gens)))
+    group = cct.from_permutations(gens, degree)
+    order = bfs_perms(gens, degree)
+    pos = {p: i for i, p in enumerate(order)}
+    assert group.order == len(order)
+    assert group.labels == tuple(cct.groups.cycle_notation(p) for p in order)
+    assert group.generators == (tuple(pos[g] for g in gens) or (0,))
+    assert cayley_table(group) == [[pos[tuple(b[i] for i in a)] for b in order] for a in order]
+    assert all(group.mul(x, group.inv(x)) == 0 for x in range(group.order))
+
+
+@functools.cache
+def _quotient_groups():
+    return [cct.symmetric(4), cct.dihedral(16), cct.abelian([2, 4, 6]), cct.quaternion(),
+            cct.direct_product(cct.symmetric(3), cct.cyclic(4))]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_quotient_table_is_the_coset_product(data):
+    group = data.draw(st.sampled_from(_quotient_groups()))
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=2))
+    q = cct.quotient(group, cct.normal_closure(group, seeds))
+    cosets = [frozenset(x for x in range(group.order) if q.projection[x] == c)
+              for c in range(q.target.order)]
+    assert set(cosets[0]) == q.kernel.members
+    for a in range(q.target.order):
+        assert q.target.label(a) == group.label(min(cosets[a]))
+        for b in range(q.target.order):
+            product = {group.mul(x, y) for x in cosets[a] for y in cosets[b]}
+            assert product == cosets[q.target.mul(a, b)]
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_as_group_table_is_the_restricted_product(data):
+    parent = data.draw(st.sampled_from(_quotient_groups()))
+    seeds = data.draw(st.lists(st.integers(0, parent.order - 1), max_size=3))
+    sub = cct.subgroup_generated(parent, seeds)
+    group = sub.as_group()
+    by_label = {parent.label(x): x for x in range(parent.order)}
+    embed = [by_label[group.label(i)] for i in range(group.order)]
+    assert embed[0] == 0 and set(embed) == sub.members
+    assert all(embed[group.mul(i, j)] == parent.mul(embed[i], embed[j])
+               for i in range(group.order) for j in range(group.order))
+    assert cct.subgroup_generated(group, group.generators).order == group.order
+
+
+def test_from_permutations_composes_only_along_the_tree(monkeypatch):
+    calls = 0
+    compose = cct.groups._compose
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(cct.groups, "_compose", counting)
+    a7 = cct.alternating(7)
+    assert a7.order == 2520 and a7.backing == "cayley-table"
+    assert calls <= 4 * a7.order * len(a7.generators)
+
+
+def test_relabelled_shares_the_group(standard_groups):
+    s4 = standard_groups["s4"]
+    renamed = s4.relabelled([f"x{i}" for i in range(s4.order)])
+    assert renamed.label(5) == "x5" and s4.label(5) != "x5"
+    assert cayley_table(renamed) == cayley_table(s4)
+    assert [renamed.inv(x) for x in range(24)] == [s4.inv(x) for x in range(24)]
+    assert renamed.generators == s4.generators and renamed.backing == s4.backing
