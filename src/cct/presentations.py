@@ -4,12 +4,14 @@ Enumeration is plain HLT over the trivial subgroup: live cosets are
 scanned in ascending order, relators in declared order, and a stalled scan
 defines a coset at its leftmost missing slot, so the whole run is
 deterministic.  Coincidences are processed eagerly through a union-find
-that always keeps the lower-numbered coset alive.  The main loop repeats
-until a full pass produces no definition, deduction or coincidence, which
-makes a returned table closed by construction; running out of cosets
-raises BudgetExceeded and never misreports a finite result.
+that always keeps the lower-numbered coset alive.  One pass leaves every
+row complete and every relator cycle closed, since a coincidence only
+identifies cosets (Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, §5.1).  One exact check confirms it, pushing every coset through
+every relator; a table that fails it gets another pass, so a returned table
+has always passed it.  Running out of cosets raises BudgetExceeded and
+never misreports a finite result.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -338,7 +340,11 @@ def free_product(parts) -> Presentation:
 
 
 def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup (HLT, eager coincidences)."""
+    """Enumerate cosets of the trivial subgroup (HLT, eager coincidences).
+
+    One HLT pass, closed by one exact check (Handbook §5.1): every live row
+    is complete and every relator is the identity on the compacted table.
+    """
     budget = max_cosets if max_cosets is not None else config.DEFAULT_MAX_COSETS
     if budget < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -350,7 +356,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
         for rel in pres.relators
     ]
 
-    table: list[list[int | None]] = [[None] * width]
+    table: list[list[int | None] | None] = [[None] * width]
     parent = [0]
 
     def rep(c: int) -> int:
@@ -361,10 +367,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             parent[c], c = root, parent[c]
         return root
 
-    events = 0
-
-    def define(alpha: int, x: int) -> int:
-        nonlocal events
+    def define(alpha: int, x: int):
         if len(table) >= budget:
             raise BudgetExceeded(budget)
         beta = len(table)
@@ -372,27 +375,19 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
         parent.append(beta)
         table[alpha][x] = beta
         table[beta][x ^ 1] = alpha
-        events += 1
-        return beta
 
     def merge(a: int, b: int, queue: list[int]):
-        nonlocal events
         a, b = rep(a), rep(b)
         if a != b:
             lo, hi = (a, b) if a < b else (b, a)
             parent[hi] = lo
             queue.append(hi)
-            events += 1
 
     def coincidence(a: int, b: int):
         queue: list[int] = []
         merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            for x in range(width):
-                delta = table[gamma][x]
+        for gamma in queue:  # merge appends while the loop runs
+            for x, delta in enumerate(table[gamma]):
                 if delta is None:
                     continue
                 table[delta][x ^ 1] = None
@@ -404,83 +399,88 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 else:
                     table[mu][x] = nu
                     table[nu][x ^ 1] = mu
+            # a dead coset's row is never read again once its entries moved
+            table[gamma] = None
 
     def scan_and_fill(alpha: int, word: tuple[int, ...]):
-        nonlocal events
+        rows = table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j and (nxt := rows[f][word[i]]) is not None:
+                f = nxt
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
+            while j >= i and (nxt := rows[b][word[j] ^ 1]) is not None:
+                b = nxt
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return
             if j == i:
-                table[f][word[i]] = b
-                table[b][word[i] ^ 1] = f
-                events += 1
+                rows[f][word[i]] = b
+                rows[b][word[i] ^ 1] = f
                 return
             define(f, word[i])
 
+    progress = None
     while True:
-        before = events
         alpha = 0
         while alpha < len(table):
-            if parent[alpha] != alpha:
-                alpha += 1
-                continue
-            for word in relator_codes:
-                scan_and_fill(alpha, word)
-                if parent[alpha] != alpha:
-                    break
             if parent[alpha] == alpha:
-                for x in range(width):
-                    if table[alpha][x] is None:
-                        define(alpha, x)
+                for word in relator_codes:
+                    scan_and_fill(alpha, word)
+                    if parent[alpha] != alpha:
+                        break
+                else:  # alpha survived every relator: fill its row
+                    for x in range(width):
+                        if table[alpha][x] is None:
+                            define(alpha, x)
             alpha += 1
-        if events == before:
-            break
 
-    live = [c for c in range(len(table)) if parent[c] == c]
-    index = {c: i for i, c in enumerate(live)}
-    action = tuple(
-        tuple(index[rep(table[c][2 * s])] for c in live) for s in range(k)
-    )
-    result = CosetTable(len(live), action)
-    _check_table(result, relator_codes)
-    return result
+        live = [c for c in range(len(table)) if parent[c] == c]
+        holes = sum(table[c].count(None) for c in live)
+        if not holes:
+            pos = [-1] * len(table)
+            for i, c in enumerate(live):
+                pos[c] = i
+            result = CosetTable(
+                len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
+            )
+            if _unclosed_coset(result, pres) is None:
+                return result
+        # a pass that defines, merges and deduces nothing cannot close the table
+        if progress == (len(table), len(live), holes):
+            raise AssertionError("HLT pass left an unclosed coset table unchanged")
+        progress = (len(table), len(live), holes)
 
 
-def _check_table(ct: CosetTable, relator_codes) -> None:
-    m = ct.num_cosets
+def _unclosed_coset(ct: CosetTable, pres: Presentation) -> int | None:
+    """A coset at which some relator of `pres` is not the identity, or None.
+
+    Each relator carries the whole coset list through its letters at once.
+    Raises AssertionError if a generator action is not a permutation.
+    """
+    ident = list(range(ct.num_cosets))
     for perm in ct.action:
-        if sorted(perm) != list(range(m)):
+        if sorted(perm) != ident:
             raise AssertionError("coset action is not a permutation")
-    inverse_action = [None] * len(ct.action)
-    for word in relator_codes:
-        for c in range(m):
-            x = c
-            for code in word:
-                s, is_inv = divmod(code, 2)
-                if is_inv:
-                    if inverse_action[s] is None:
-                        inv = [0] * m
-                        for i, j in enumerate(ct.action[s]):
-                            inv[j] = i
-                        inverse_action[s] = inv
-                    x = inverse_action[s][x]
-                else:
-                    x = ct.action[s][x]
-            if x != c:
-                raise AssertionError("relator does not act trivially on closed table")
+    inverse = {}  # only for generators that some relator inverts
+    for s in {s for rel in pres.relators for s, e in rel.letters if e < 0}:
+        inverse[s] = [0] * ct.num_cosets
+        for i in ident:
+            inverse[s][ct.action[s][i]] = i
+    for rel in pres.relators:
+        cur = ident
+        for s, e in rel.letters:
+            act = ct.action[s] if e > 0 else inverse[s]
+            cur = [act[c] for c in cur]
+        if cur != ident:
+            return next(c for c in ident if cur[c] != c)
+    return None
 
 
 def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:

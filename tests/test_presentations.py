@@ -1,6 +1,11 @@
 """Presentation parsing, free products, coset enumeration, realization."""
 
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cct
 from cct.errors import BudgetExceeded, ParseError
@@ -219,3 +224,121 @@ def test_realize_generator_symbol_alignment():
     assert len(g.generators) == 2
     assert g.element_order(g.generators[0]) == 2
     assert g.element_order(g.generators[1]) == 3
+
+
+# ---------------------------------------------------------------------------
+# one HLT pass, closed by one exact check
+
+# (presentation, cosets, smallest max_cosets that succeeds, SHA-256 of
+# repr(action)), computed with the enumerator that repeated HLT passes until
+# one made no definition, deduction or coincidence, then traced every
+# relator from every coset.
+PINNED_TABLES = [
+    ("<a,b | a^2, b^2, (a b)^3>", 6, 8,
+     "61dc1828206b53553bfd209bc8f77d56aadec5d152e2354dd0c332baca82ad5a"),
+    ("<a,b | a^4, b^2, (a b)^2>", 8, 8,
+     "8e251a2d31ff6822fe2a775e46a9fdb74e01536118488409c92dde74bc8669c3"),
+    ("<a,b | a^3, b^3, (a b)^3, (a b^-1)^3>", 27, 33,
+     "8429fee9b4bb12ec7dac4be44ac9cb029d46f41b26c53d5198be117a2aa07248"),
+    ("<a,b | a^2, b^3, (a b)^5>", 60, 82,
+     "df2070fe664c219b148eea915b8743113658c123b2c0f47369b42c4b7ce1d425"),
+    ("<a,b | a^2, b^3, (a b)^7, (a^-1 b^-1 a b)^4>", 168, 542,
+     "709251930abf164b99c18347b6ac94a9c1d91340b333b43e51bb2bb6cba1b2d6"),
+    ("<a,b | a^2, b^4, (a b)^5, (a b^2)^5>", 360, 954,
+     "9430e3f5e617db2ab92935a4f53bdee1633b9352bef6a5c4a89fbea3a8dcac99"),
+    ("<a,b | a^32, b^-2 a^16, b^-1 a b a>", 64, 65,
+     "b20349f764e957a22a75b874ad16b53c759c87fd3c783fd55a7d25154704988b"),
+    ("<a,b | a^2, b^3, (a b)^7, (a^-1 b^-1 a b)^8>", 10752, 272596,
+     "b50015847fc58d7eef0e44e2d0c440f6c5c00976bc44a31d4040272a8ab71531"),
+]
+
+
+@pytest.mark.parametrize("text,cosets,budget,digest", PINNED_TABLES,
+                         ids=["S3", "a4b2", "B23", "A5", "PSL27", "A6", "dic64", "237-8"])
+def test_todd_coxeter_tables_unchanged(monkeypatch, text, cosets, budget, digest):
+    # one HLT pass closes each of these tables, so the closing check runs once
+    checks = 0
+    check = cct.presentations._unclosed_coset
+
+    def counting(ct, pres):
+        nonlocal checks
+        checks += 1
+        return check(ct, pres)
+
+    monkeypatch.setattr(cct.presentations, "_unclosed_coset", counting)
+    pres = cct.parse_presentation(text)
+    ct = cct.todd_coxeter(pres, budget)
+    assert checks == 1
+    assert ct.num_cosets == cosets
+    assert hashlib.sha256(repr(ct.action).encode()).hexdigest() == digest
+    with pytest.raises(BudgetExceeded):
+        cct.todd_coxeter(pres, budget - 1)
+
+
+def failing_cosets(ct, pres):
+    """Oracle: trace every relator letter by letter from every coset."""
+    inverse = [{p: i for i, p in enumerate(perm)} for perm in ct.action]
+    failing = set()
+    for c in range(ct.num_cosets):
+        for rel in pres.relators:
+            x = c
+            for sym, exp in rel.letters:
+                x = ct.action[sym][x] if exp > 0 else inverse[sym][x]
+            if x != c:
+                failing.add(c)
+    return failing
+
+
+@pytest.mark.parametrize("text", [
+    "<a,b | a^2, b^2, (a b)^3>",
+    "<a,b | a^2, b^3, (a b)^5>",
+    "<a,b | a^3, b^3, (a b)^3, (a b^-1)^3>",  # inverse letters
+])
+def test_closing_check_rejects_swapped_images(text):
+    pres = cct.parse_presentation(text)
+    ct = cct.todd_coxeter(pres)
+    assert cct.presentations._unclosed_coset(ct, pres) is None
+    rejected = 0
+    for sym, perm in enumerate(ct.action):
+        for i, j in itertools.combinations(range(ct.num_cosets), 2):
+            swapped = list(perm)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            action = ct.action[:sym] + (tuple(swapped),) + ct.action[sym + 1:]
+            corrupted = cct.CosetTable(ct.num_cosets, action)
+            failing = failing_cosets(corrupted, pres)
+            found = cct.presentations._unclosed_coset(corrupted, pres)
+            if failing:
+                assert found in failing
+                rejected += 1
+            else:
+                assert found is None
+    assert rejected > 0
+
+
+def test_closing_check_rejects_non_permutation():
+    pres = cct.parse_presentation("<a,b | a^2, b^2, (a b)^3>")
+    ct = cct.todd_coxeter(pres)
+    a = list(ct.action[0])
+    a[0] = a[1]
+    with pytest.raises(AssertionError):
+        cct.presentations._unclosed_coset(cct.CosetTable(6, (tuple(a),) + ct.action[1:]), pres)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_realize_presentation_of_is_isomorphic(data):
+    # checks coset enumeration against from_permutations, which builds the
+    # group independently
+    degree = data.draw(st.integers(1, 6))
+    perms = st.permutations(range(degree)).map(tuple)
+    gens = data.draw(st.lists(perms | st.just(tuple(range(degree))), min_size=1, max_size=3))
+    group = cct.from_permutations(gens, degree)
+    pres = cct.presentation_of(group)
+    realized = cct.realize(pres)
+    assert cct.isomorphic(realized, group)
+    for rel in pres.relators:
+        acc = 0
+        for sym, exp in rel.letters:
+            gen = realized.generators[sym]
+            acc = realized.mul(acc, gen if exp > 0 else realized.inv(gen))
+        assert acc == 0
