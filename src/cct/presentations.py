@@ -8,10 +8,11 @@ that always keeps the lower-numbered coset alive.  One pass leaves every
 row complete and every relator cycle closed, since a coincidence only
 identifies cosets (Holt, Eick & O'Brien, Handbook of Computational Group
 Theory, §5.1).  One exact check confirms it, pushing every coset through
-every relator; a table that fails it gets another pass, so a returned table
-has always passed it.  Running out of cosets raises BudgetExceeded and
-never misreports a finite result.
+every relator; a table that fails it raises AssertionError, so a returned
+table has always passed it.  Running out of cosets raises BudgetExceeded
+and never misreports a finite result.
 """
+
 from __future__ import annotations
 
 import itertools
@@ -426,40 +427,35 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 return
             define(f, word[i])
 
-    progress = None
-    while True:
-        alpha = 0
-        while alpha < len(table):
-            if parent[alpha] == alpha:
-                for word in relator_codes:
-                    scan_and_fill(alpha, word)
-                    if parent[alpha] != alpha:
-                        break
-                else:  # alpha survived every relator: fill its row
-                    for x in range(width):
-                        if table[alpha][x] is None:
-                            define(alpha, x)
-            alpha += 1
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for word in relator_codes:
+                scan_and_fill(alpha, word)
+                if parent[alpha] != alpha:
+                    break
+            else:  # alpha survived every relator: fill its row
+                for x in range(width):
+                    if table[alpha][x] is None:
+                        define(alpha, x)
+        alpha += 1
 
-        live = [c for c in range(len(table)) if parent[c] == c]
-        holes = sum(table[c].count(None) for c in live)
-        if not holes:
-            pos = [-1] * len(table)
-            for i, c in enumerate(live):
-                pos[c] = i
-            result = CosetTable(
-                len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
-            )
-            if _unclosed_coset(result, pres) is None:
-                return result
-        # a pass that defines, merges and deduces nothing cannot close the table
-        if progress == (len(table), len(live), holes):
-            raise AssertionError("HLT pass left an unclosed coset table unchanged")
-        progress = (len(table), len(live), holes)
+    live = [c for c in range(len(table)) if parent[c] == c]
+    if any(None in table[c] for c in live):
+        raise AssertionError("HLT pass left an incomplete coset table")
+    pos = [-1] * len(table)
+    for i, c in enumerate(live):
+        pos[c] = i
+    result = CosetTable(
+        len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
+    )
+    if not _closes(result, pres):
+        raise AssertionError("HLT pass left a relator unclosed")
+    return result
 
 
-def _unclosed_coset(ct: CosetTable, pres: Presentation) -> int | None:
-    """A coset at which some relator of `pres` is not the identity, or None.
+def _closes(ct: CosetTable, pres: Presentation) -> bool:
+    """Whether every relator of `pres` acts as the identity on `ct`.
 
     Each relator carries the whole coset list through its letters at once.
     Raises AssertionError if a generator action is not a permutation.
@@ -479,8 +475,8 @@ def _unclosed_coset(ct: CosetTable, pres: Presentation) -> int | None:
             act = ct.action[s] if e > 0 else inverse[s]
             cur = [act[c] for c in cur]
         if cur != ident:
-            return next(c for c in ident if cur[c] != c)
-    return None
+            return False
+    return True
 
 
 def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:

@@ -262,14 +262,14 @@ PINNED_TABLES = [
 def test_todd_coxeter_tables_unchanged(monkeypatch, text, cosets, budget, digest):
     # one HLT pass closes each of these tables, so the closing check runs once
     checks = 0
-    check = cct.presentations._unclosed_coset
+    check = cct.presentations._closes
 
     def counting(ct, pres):
         nonlocal checks
         checks += 1
         return check(ct, pres)
 
-    monkeypatch.setattr(cct.presentations, "_unclosed_coset", counting)
+    monkeypatch.setattr(cct.presentations, "_closes", counting)
     pres = cct.parse_presentation(text)
     ct = cct.todd_coxeter(pres, budget)
     assert checks == 1
@@ -300,7 +300,7 @@ def failing_cosets(ct, pres):
 def test_closing_check_rejects_swapped_images(text):
     pres = cct.parse_presentation(text)
     ct = cct.todd_coxeter(pres)
-    assert cct.presentations._unclosed_coset(ct, pres) is None
+    assert cct.presentations._closes(ct, pres)
     rejected = 0
     for sym, perm in enumerate(ct.action):
         for i, j in itertools.combinations(range(ct.num_cosets), 2):
@@ -309,12 +309,8 @@ def test_closing_check_rejects_swapped_images(text):
             action = ct.action[:sym] + (tuple(swapped),) + ct.action[sym + 1:]
             corrupted = cct.CosetTable(ct.num_cosets, action)
             failing = failing_cosets(corrupted, pres)
-            found = cct.presentations._unclosed_coset(corrupted, pres)
-            if failing:
-                assert found in failing
-                rejected += 1
-            else:
-                assert found is None
+            assert cct.presentations._closes(corrupted, pres) == (not failing)
+            rejected += bool(failing)
     assert rejected > 0
 
 
@@ -324,7 +320,7 @@ def test_closing_check_rejects_non_permutation():
     a = list(ct.action[0])
     a[0] = a[1]
     with pytest.raises(AssertionError):
-        cct.presentations._unclosed_coset(cct.CosetTable(6, (tuple(a),) + ct.action[1:]), pres)
+        cct.presentations._closes(cct.CosetTable(6, (tuple(a),) + ct.action[1:]), pres)
 
 
 @settings(max_examples=30)
