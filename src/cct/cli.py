@@ -20,6 +20,7 @@ from .catalogs import (
 )
 from .coreflections import (
     GeneratorSpec,
+    hierarchy_report,
     radical,
     socle,
     verify_radical_property,
@@ -154,21 +155,20 @@ def _cmd_classify(env, args):
 def _cmd_hierarchy(env, args):
     gen = _resolve_gen(env, args.gen)
     target = _resolve_group(env, args.target)
-    chain = radical(gen, target)
-    soc, rad = chain.stages[0], chain.final
+    report = hierarchy_report(gen, target)
     result = {
-        "socle": _subgroup_json(soc),
-        "radical": _subgroup_json(rad),
-        "socle_in_radical": soc.members <= rad.members,
-        "is_generated": soc.order == target.order,
-        "is_constructible": rad.order == target.order,
-        "chain_length": chain.length,
+        "socle": _subgroup_json(report.socle),
+        "radical": _subgroup_json(report.radical),
+        "socle_in_radical": report.socle_in_radical,
+        "is_generated": report.generated,
+        "is_constructible": report.constructible,
+        "chain_length": report.chain_length,
     }
     lines = [
         f"hierarchy for {args.gen} acting on {args.target} (order {target.order}):",
-        f"  socle order {soc.order}, radical order {rad.order}, "
-        f"chain length {chain.length}",
-        f"  generated={result['is_generated']} constructible={result['is_constructible']}",
+        f"  socle order {report.socle.order}, radical order {report.radical.order}, "
+        f"chain length {report.chain_length}",
+        f"  generated={report.generated} constructible={report.constructible}",
     ]
     return result, lines, 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import NotAGroup, NotNormal, OrderBudgetExceeded
@@ -607,6 +607,13 @@ class _Closure:
                         return
                     reps.append(rt)
 
+    def fork(self) -> "_Closure":
+        """An independent copy, to grow apart from this one."""
+        twin = _Closure(self.group)
+        twin.members = set(self.members)
+        twin.gens = list(self.gens)
+        return twin
+
     def extend(self, seeds: Iterable[int]) -> "_Closure":
         """Add seeds in order, stopping as soon as the whole group is reached."""
         for x in seeds:
@@ -619,41 +626,46 @@ class _Closure:
         return Subgroup(self.group, self.members, _checked=True)
 
 
-def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Least subgroup containing `gens` (deterministic incremental closure)."""
+def _closure_of(group: FiniteGroup, gens: Iterable[int]) -> _Closure:
     gen_list = list(gens)
     for x in gen_list:
         if not 0 <= x < group.order:
             raise ValueError(f"element index {x} out of range")
-    return _Closure(group).extend(gen_list).subgroup()
+    return _Closure(group).extend(gen_list)
+
+
+def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    """Least subgroup containing `gens` (deterministic incremental closure)."""
+    return _closure_of(group, gens).subgroup()
+
+
+def _conjugates_outside(group: FiniteGroup,
+                        members: Collection[int]) -> Iterator[tuple[int, int, int]]:
+    """Every (g, x, g x g^-1), g a generator and x a member, with the conjugate
+    outside `members`; none exactly when conjugation preserves the subgroup."""
+    for g in group.generators:
+        ginv = group.inv(g)
+        for x in members:
+            y = group.mul(group.mul(g, x), ginv)
+            if y not in members:
+                yield g, x, y
 
 
 def normal_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Least normal subgroup containing `gens` (conjugate and re-close)."""
-    current = subgroup_generated(group, gens)
+    closure = _closure_of(group, gens)
     while True:
-        extra = set()
-        for g in group.generators:
-            ginv = group.inv(g)
-            for x in current.members:
-                y = group.mul(group.mul(g, x), ginv)
-                if y not in current.members:
-                    extra.add(y)
+        extra = [y for _, _, y in _conjugates_outside(group, closure.members)]
         if not extra:
-            return current
-        current = subgroup_generated(group, current.members | extra)
+            return closure.subgroup()
+        closure.extend(extra)
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff conjugation by every generator preserves the subgroup."""
     if sub.parent is not group:
         raise ValueError("subgroup does not live in this group")
-    for g in group.generators:
-        ginv = group.inv(g)
-        for x in sub.members:
-            if group.mul(group.mul(g, x), ginv) not in sub.members:
-                return False
-    return True
+    return next(_conjugates_outside(group, sub.members), None) is None
 
 
 def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
@@ -664,12 +676,9 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     """
     if kernel.parent is not group:
         raise ValueError("kernel does not live in this group")
-    for g in group.generators:
-        ginv = group.inv(g)
-        for x in kernel.members:
-            y = group.mul(group.mul(g, x), ginv)
-            if y not in kernel.members:
-                raise NotNormal(witness=(g, x))
+    bad = next(_conjugates_outside(group, kernel.members), None)
+    if bad is not None:
+        raise NotNormal(witness=bad[:2])
 
     n = group.order
     coset_of = [-1] * n

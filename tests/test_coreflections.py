@@ -86,6 +86,18 @@ def test_socle_is_closure_of_all_hom_images(data):
     assert cct.socle(cct.GeneratorSpec(tuple(factors)), target) == expect
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_socle_of_cyclic_is_generated_by_torsion(data):
+    # a hom Z/n -> G is the choice of one y with y^n = 1
+    n = data.draw(st.integers(2, 6))
+    degree = data.draw(st.integers(1, 5))
+    perms = st.permutations(range(degree)).map(tuple)
+    group = cct.from_permutations(data.draw(st.lists(perms, min_size=1, max_size=3)), degree)
+    torsion = [x for x in range(group.order) if n % group.element_order(x) == 0]
+    assert cct.socle(cct.cyclic(n), group) == cct.subgroup_generated(group, torsion)
+
+
 def test_socle_stops_once_it_has_the_whole_target():
     # regression bound on work: the closure skips seeds it already holds and
     # the hom scan stops at the whole group (about 41k and 25k products)
