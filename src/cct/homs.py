@@ -186,14 +186,15 @@ def _first_generating(prefix: _Closure, candidates: list[int], start: int,
 
 
 def rank_lower_bound(group: FiniteGroup) -> int:
-    """max over primes p dividing |G| of the rank of G / N_p, a lower bound
-    on the size of every generating set of G.
+    """Largest rank of an elementary abelian quotient of the group.
 
-    N_p is the normal closure of the commutators [a, b] and powers a^p of
-    the stored generators, so G / N_p is the largest elementary abelian
-    p-quotient, of rank log_p [G : N_p].  For a p-group the bound is exact
-    (Burnside's basis theorem; Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005).
+    Every generating set maps onto a generating set of each quotient, so
+    none is smaller.  For each prime p dividing |G|, N_p is the normal
+    closure of the commutators [a, b] and powers a^p of the stored
+    generators, so G / N_p is the largest elementary abelian p-quotient,
+    of rank log_p [G : N_p].  For a p-group the bound is exact (Burnside's basis
+    theorem; Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    2005).
     """
     gens = group.generators
     mul, inv = group.mul, group.inv

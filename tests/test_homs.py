@@ -119,9 +119,9 @@ def test_rank_lower_bound_against_burnside_basis_theorem():
 
 def test_minimal_generating_set_work_is_bounded(monkeypatch):
     # regression bound on work: the rank bound skips the hopeless sizes and
-    # redundant prefixes are pruned.  The exhaustive combination scan took
-    # 41,751 closures on the first group and 171 s on the second; the
-    # third takes about 7,800 closure steps without the pruning
+    # redundant prefixes are pruned.  The exhaustive combination scan made
+    # 41,751 closures on the first group and would make 7,666,240 on the
+    # second; the third takes about 7,800 closure steps without the pruning
     add = cct.groups._Closure.add
     calls = 0
 
