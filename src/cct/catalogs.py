@@ -30,7 +30,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .homs import Homomorphism, isomorphic
+from .homs import Homomorphism, _prime_factorization, isomorphic
 from .presentations import parse_presentation, realize
 
 __all__ = [
@@ -112,22 +112,6 @@ def _partitions(n: int, cap: int | None = None):
     for first in range(cap, 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
-
-
-def _prime_factorization(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def _abelian_types(n: int):

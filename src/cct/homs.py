@@ -201,7 +201,7 @@ def rank_lower_bound(group: FiniteGroup) -> int:
     commutators = [mul(mul(inv(a), inv(b)), mul(a, b))
                    for a, b in itertools.combinations(gens, 2)]
     bound = 0
-    for p in _prime_divisors(group.order):
+    for p, _ in _prime_factorization(group.order):
         powers = []
         for a in gens:
             y = 0
@@ -217,18 +217,20 @@ def rank_lower_bound(group: FiniteGroup) -> int:
     return bound
 
 
-def _prime_divisors(n: int) -> list[int]:
-    primes = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
+def _prime_factorization(n: int) -> list[tuple[int, int]]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
     if n > 1:
-        primes.append(n)
-    return primes
+        out.append((n, 1))
+    return out
 
 
 def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
