@@ -24,7 +24,6 @@ __all__ = [
     "Homomorphism",
     "WordTable",
     "minimal_generating_set",
-    "rank_lower_bound",
     "enumerate_homs",
     "iter_homs",
     "hom_count",
@@ -133,7 +132,7 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
     candidates ordered by element order descending then index ascending.
     Two cuts find that same combination with little work:
 
-    - Rank bound: no generating set is smaller than `rank_lower_bound`,
+    - Rank bound: no generating set is smaller than `_rank_lower_bound`,
       since every one maps onto a generating set of an elementary abelian
       quotient, so the sizes below it are not scanned.
     - Pruning: the combinations of one size are scanned depth first in the
@@ -154,7 +153,7 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
     else:
         candidates = sorted(range(1, group.order),
                             key=lambda x: (-group.element_order(x), x))
-        for k in range(max(1, rank_lower_bound(group)), group.order.bit_length() + 1):
+        for k in range(max(1, _rank_lower_bound(group)), group.order.bit_length() + 1):
             result = _first_generating(_Closure(group), candidates, 0, k)
             if result is not None:
                 break
@@ -185,7 +184,7 @@ def _first_generating(prefix: _Closure, candidates: list[int], start: int,
     return None
 
 
-def rank_lower_bound(group: FiniteGroup) -> int:
+def _rank_lower_bound(group: FiniteGroup) -> int:
     """Largest rank of an elementary abelian quotient of the group.
 
     Every generating set maps onto a generating set of each quotient, so
