@@ -20,6 +20,7 @@ from .errors import OrderBudgetExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _prime_factorization,
     abelian,
     all_subgroups,
     alternating,
@@ -30,7 +31,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .homs import Homomorphism, _prime_factorization, isomorphic
+from .homs import Homomorphism, isomorphic
 from .presentations import parse_presentation, realize
 
 __all__ = [
@@ -79,14 +80,7 @@ class Catalog:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return _prime_factorization(p) == [(p, 1)]
 
 
 def truncated_generator(p: int, k: int) -> GeneratorSpec:
@@ -259,11 +253,8 @@ class SocleRadicalReport:
 
 def _prime_power(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e and e >= 1, else None."""
-    for p, e in _prime_factorization(n):
-        if p**e == n:
-            return (p, e)
-        break
-    return None
+    factors = _prime_factorization(n)
+    return factors[0] if len(factors) == 1 else None
 
 
 def _truncation_bounds(spec: GeneratorSpec) -> dict[int, int] | None:

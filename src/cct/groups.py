@@ -11,7 +11,7 @@ table, built along the BFS tree from one left-multiplication column per
 generator: 2 n |gens| products plus n^2 list reads, in n^2 memory.  Larger
 permutation groups compose permutations and look up the result in a hash
 index.  A group's elements and table never change after construction; the
-element-order, abelian-flag and minimal-generator caches are filled lazily.
+element-order and abelian-flag caches are filled lazily.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ class FiniteGroup:
         self._perm_index = perm_index
         self._element_orders: list[int] | None = None
         self._abelian: bool | None = None
-        # filled by homs.minimal_generating_set
-        self._min_gens: tuple[int, ...] | None = None
         if not self.generators:
             raise ValueError("generator list must be nonempty")
         if self.labels is not None and len(self.labels) != order:
@@ -558,6 +556,24 @@ def element_order(group: FiniteGroup, x: int) -> int:
     if not 0 <= x < group.order:
         raise ValueError(f"element index {x} out of range")
     return group.element_order(x)
+
+
+def _prime_factorization(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, p ascending; []
+    when n < 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 class _Closure:

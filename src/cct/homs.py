@@ -1,24 +1,27 @@
 """Homomorphism and isomorphism enumeration between finite groups.
 
-The enumerator backtracks over images of a minimal generating set of the
-domain, prunes candidates whose element order does not divide the
-generator's order, extends each full assignment through the domain's BFS
-word table, and accepts exactly when every Cayley-graph edge is
-multiplicative.  That acceptance check makes the search sound and
-complete, and the lexicographic scan over image tuples makes the output
-order reproducible.
+One scan serves both.  It walks the image tuples of a minimal generating
+set of the domain in lexicographic order, each image drawn from the
+codomain elements whose order divides the generator's order (equals it,
+for an isomorphism).  Each tuple is extended to a full map along the
+domain's BFS word table, and the map is accepted exactly when
+`groups._first_bad_edge`, the same check that guards quotients, finds
+every Cayley-graph edge multiplicative.  That check makes the search
+sound and complete, and the lexicographic scan makes the output order
+reproducible.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
 from . import config
 from .errors import OrderBudgetExceeded
-from .groups import (FiniteGroup, Subgroup, _Closure, _first_bad_edge, normal_closure,
-                     subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _first_bad_edge,
+                     _prime_factorization, normal_closure, subgroup_generated)
 
 __all__ = [
     "Homomorphism",
@@ -77,36 +80,25 @@ def _make_hom(domain: FiniteGroup, codomain: FiniteGroup, full: tuple[int, ...])
 class WordTable:
     """BFS spanning tree of a group over a chosen generator tuple.
 
-    Element x is reached as parent(x) * gens[edge(x)]; the induced word for
-    x is therefore the BFS-shortest positive word, and images extend along
-    discovery order in O(|G|) per candidate assignment.
+    Element x is reached as parent(x) * gens[edge(x)] in the BFS of
+    `groups._bfs_order`; the induced word for x is therefore the
+    BFS-shortest positive word, and images extend along discovery order
+    in O(|G|) per candidate assignment.
     """
 
     def __init__(self, group: FiniteGroup, gens: tuple[int, ...]):
         self.group = group
         self.gens = gens
-        n = group.order
-        parent = [-1] * n
-        edge = [-1] * n
-        order = [0]
-        seen = [False] * n
-        seen[0] = True
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for gi, g in enumerate(gens):
-                y = group.mul(x, g)
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    edge[y] = gi
-                    order.append(y)
-        if len(order) != n:
+        order, _, parent, edge = _bfs_order(0, gens, group.mul, group.order + 1)
+        if len(order) != group.order:
             raise ValueError("generators do not generate the group")
         self.discovery = order
-        self.parent = parent
-        self.edge = edge
+        # _bfs_order indexes its tree by discovery position; these by element
+        self.parent = [-1] * group.order
+        self.edge = [-1] * group.order
+        for x, p, e in zip(order[1:], parent[1:], edge[1:]):
+            self.parent[x] = order[p]
+            self.edge[x] = e
 
     def word(self, x: int) -> tuple[int, ...]:
         """Generator positions whose product reaches x from the identity."""
@@ -122,6 +114,11 @@ class WordTable:
         for x in self.discovery[1:]:
             full[x] = codomain.mul(full[self.parent[x]], images[self.edge[x]])
         return tuple(full)
+
+
+# Groups are immutable, so a group's minimal generating set never changes;
+# the entry goes when the group does.
+_MIN_GENS: weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]] = weakref.WeakKeyDictionary()
 
 
 def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
@@ -145,8 +142,9 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """
     if group.order > config.order_max():
         raise OrderBudgetExceeded(config.order_max(), "minimal generating set")
-    if group._min_gens is not None:
-        return group._min_gens
+    cached = _MIN_GENS.get(group)
+    if cached is not None:
+        return cached
     result: tuple[int, ...] | None = None
     if group.order == 1:
         result = ()
@@ -159,7 +157,7 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
                 break
     if result is None:
         raise AssertionError("no generating tuple found")
-    group._min_gens = result
+    _MIN_GENS[group] = result
     return result
 
 
@@ -216,22 +214,6 @@ def _rank_lower_bound(group: FiniteGroup) -> int:
     return bound
 
 
-def _prime_factorization(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
               domain_max: int | None = None) -> Iterator[Homomorphism]:
     """All homomorphisms domain -> codomain, each exactly once.
@@ -242,32 +224,34 @@ def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
     limit = domain_max if domain_max is not None else config.HOM_DOMAIN_MAX
     if domain.order > limit:
         raise OrderBudgetExceeded(limit, "hom enumeration domain")
+    for full in _hom_maps(domain, codomain, bijective=False):
+        yield _make_hom(domain, codomain, full)
+
+
+def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
+              bijective: bool) -> Iterator[tuple[int, ...]]:
+    """Full maps of the homomorphisms domain -> codomain, or of the bijective
+    ones only, in lexicographic order of the minimal generating set's images.
+
+    A bijection is tested for injectivity before the edge check: the test
+    is far cheaper, and on an elementary abelian domain every tuple of
+    equal-order images passes the edge check.
+    """
     mgs = minimal_generating_set(domain)
-    if not mgs:
-        yield _make_hom(domain, codomain, (0,))
-        return
     table = WordTable(domain, mgs)
-    slots = [
-        [y for y in range(codomain.order)
-         if domain.element_order(g) % codomain.element_order(y) == 0]
-        for g in mgs
-    ]
+    orders = [codomain.element_order(y) for y in range(codomain.order)]
+    gen_orders = [domain.element_order(g) for g in mgs]
+    if bijective:
+        slots = [[y for y, o in enumerate(orders) if o == m] for m in gen_orders]
+    else:
+        slots = [[y for y, o in enumerate(orders) if m % o == 0] for m in gen_orders]
     n = domain.order
-    mul_d = domain.mul
-    mul_c = codomain.mul
     for images in itertools.product(*slots):
         full = table.extend(images, codomain)
-        ok = True
-        for gi, g in enumerate(mgs):
-            img = images[gi]
-            for x in range(n):
-                if full[mul_d(x, g)] != mul_c(full[x], img):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield _make_hom(domain, codomain, full)
+        if bijective and len(set(full)) != n:
+            continue
+        if _first_bad_edge(domain, codomain, full) is None:
+            yield full
 
 
 def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup,
@@ -290,9 +274,8 @@ def image(hom: Homomorphism) -> Subgroup:
 def isomorphism(g: FiniteGroup, h: FiniteGroup) -> Homomorphism | None:
     """A bijective homomorphism g -> h, or None.
 
-    Prefilters on order, element-order histogram, abelian flag and center
-    size, then backtracks over images of a minimal generating set
-    restricted to elements of equal order.
+    Prefilters on order, abelian flag, element-order histogram and center
+    size, then returns the first bijection of the equal-order scan.
     """
     if g.order != h.order:
         return None
@@ -302,31 +285,8 @@ def isomorphism(g: FiniteGroup, h: FiniteGroup) -> Homomorphism | None:
         return None
     if g.center_size() != h.center_size():
         return None
-    mgs = minimal_generating_set(g)
-    if not mgs:
-        return _make_hom(g, h, (0,))
-    table = WordTable(g, mgs)
-    slots = [
-        [y for y in range(h.order) if h.element_order(y) == g.element_order(x)]
-        for x in mgs
-    ]
-    n = g.order
-    for images in itertools.product(*slots):
-        full = table.extend(images, h)
-        if len(set(full)) != n:
-            continue
-        ok = True
-        for gi, gen in enumerate(mgs):
-            img = images[gi]
-            for x in range(n):
-                if full[g.mul(x, gen)] != h.mul(full[x], img):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return _make_hom(g, h, full)
-    return None
+    full = next(_hom_maps(g, h, bijective=True), None)
+    return None if full is None else _make_hom(g, h, full)
 
 
 def isomorphic(g: FiniteGroup, h: FiniteGroup) -> bool:

@@ -295,6 +295,55 @@ def test_iso_witnesses_compose(standard_groups):
     assert composite.domain is g and composite.codomain is k
 
 
+def hom_image_oracle(a, b):
+    """Oracle: (images of a's minimal generating set, full map) of every hom
+    a -> b, in lexicographic order of the images.  Each tuple of b's
+    elements is extended by a BFS of its own and kept iff f(xy) = f(x) f(y)
+    for every pair x, y."""
+    mgs = cct.minimal_generating_set(a)
+    out = []
+    for images in itertools.product(range(b.order), repeat=len(mgs)):
+        f = {0: 0}
+        queue = [0]
+        for x in queue:
+            for g, img in zip(mgs, images):
+                y = a.mul(x, g)
+                if y not in f:
+                    f[y] = b.mul(f[x], img)
+                    queue.append(y)
+        full = tuple(f[x] for x in range(a.order))
+        if all(full[a.mul(x, y)] == b.mul(full[x], full[y])
+               for x in range(a.order) for y in range(a.order)):
+            out.append((images, full))
+    return out
+
+
+# The direct products store more generators than their minimal generating
+# sets hold (z2xz3, z2xs3) or as many (z2xz4, v4xz2).
+HOM_POOL = {
+    "z1": cct.cyclic(1), "z2": cct.cyclic(2), "z4": cct.cyclic(4), "z6": cct.cyclic(6),
+    "v4": cct.abelian([2, 2]), "s3": cct.symmetric(3), "d8": cct.dihedral(8),
+    "q8": cct.quaternion(), "a4": cct.alternating(4), "d12": cct.dihedral(12),
+    "z2xz3": cct.direct_product(cct.cyclic(2), cct.cyclic(3)),
+    "z2xs3": cct.direct_product(cct.cyclic(2), cct.symmetric(3)),
+    "z2xz4": cct.direct_product(cct.cyclic(2), cct.cyclic(4)),
+    "v4xz2": cct.direct_product(cct.abelian([2, 2]), cct.cyclic(2)),
+}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(HOM_POOL)), st.sampled_from(sorted(HOM_POOL)))
+def test_hom_order_and_iso_witness_match_oracle(name_a, name_b):
+    a, b = HOM_POOL[name_a], HOM_POOL[name_b]
+    mgs = cct.minimal_generating_set(a)
+    oracle = hom_image_oracle(a, b)
+    got = [tuple(h.full_map[g] for g in mgs) for h in cct.iter_homs(a, b)]
+    assert got == sorted(images for images, _ in oracle)
+    bijective = [full for _, full in oracle if len(set(full)) == a.order == b.order]
+    iso = cct.isomorphism(a, b)
+    assert (None if iso is None else iso.full_map) == (bijective[0] if bijective else None)
+
+
 def test_word_table_words_reproduce_elements(standard_groups):
     for key in ("s3", "d8", "a4"):
         g = standard_groups[key]
