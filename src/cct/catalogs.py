@@ -20,9 +20,9 @@ from .errors import OrderBudgetExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _overgroups,
     _prime_factorization,
     abelian,
-    all_subgroups,
     alternating,
     cyclic,
     dihedral,
@@ -79,8 +79,35 @@ class Catalog:
         raise KeyError(name)
 
 
-def _is_prime(p: int) -> bool:
-    return _prime_factorization(p) == [(p, 1)]
+# Miller-Rabin to the prime bases 2..41 is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017); 2..37 alone only below 3.2e23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError from _MR_EXACT_BELOW up."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is too large to test for primality")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def truncated_generator(p: int, k: int) -> GeneratorSpec:
@@ -387,14 +414,12 @@ def factor_through_class(query: FactorizationQuery,
                          enum_max: int | None = None) -> Subgroup | None:
     """First subgroup (canonical order) in the class containing the image.
 
-    A sound sufficient test for the bounded factorization property: when a
-    subgroup M in the class contains the image, the map factors as
-    K -> M -> H.  Returning None does not prove that no factorization
-    through a class member exists.
+    Only the overgroups of the image are walked, grown from its closure one
+    element at a time.  A sound sufficient test for the bounded
+    factorization property: when a subgroup M in the class contains the
+    image, the map factors as K -> M -> H.  Returning None does not prove
+    that no factorization through a class member exists.
     """
     predicate = resolve_class_predicate(query.class_predicate)
-    img = set(query.hom.full_map)
-    for sub in all_subgroups(query.hom.codomain, enum_max):
-        if img <= sub.members and predicate(sub):
-            return sub
-    return None
+    overgroups = _overgroups(query.hom.codomain, query.hom.full_map, enum_max)
+    return next((sub for sub in overgroups if predicate(sub)), None)

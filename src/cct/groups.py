@@ -150,9 +150,10 @@ class Subgroup:
         return self._sorted
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup (labels inherited)."""
+        """The subgroup as a standalone FiniteGroup (labels inherited), generated
+        by each member outside the closure of the smaller ones."""
         mul = self.parent.mul
-        gens = _greedy_generators(self.sorted_members(), mul)
+        gens = _Closure(self.parent).extend(self.sorted_members()).gens or [0]
         order, pos, parent, edge = _bfs_order(0, gens, mul, self.order + 1)
         table, inv = _tree_table(order, pos, gens, mul, parent, edge)
         return FiniteGroup(self.order, table, inv, [pos[g] for g in gens],
@@ -258,20 +259,6 @@ def _tree_table(order: list, pos: dict, gens: Sequence, mul: Callable,
     return table, [row.index(0) for row in table]
 
 
-def _greedy_generators(elements: Sequence, mul: Callable, identity=0) -> list:
-    """Elements taken in list order while outside the closure of those before."""
-    gens: list = []
-    closure = {identity}
-    for x in elements:
-        if x not in closure:
-            gens.append(x)
-            order, _, _, _ = _bfs_order(identity, gens, mul, len(elements) + 1)
-            closure = set(order)
-            if len(closure) == len(elements):
-                break
-    return gens or [identity]
-
-
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
               labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
     """Renumber a trusted product on 0..n-1 into canonical BFS order."""
@@ -329,7 +316,15 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
         if not any(rows[x][y] == identity and rows[y][x] == identity for y in range(n)):
             raise NotAGroup("element has no two-sided inverse", witness=x)
 
-    gens = _greedy_generators(range(n), lambda a, b: rows[a][b], identity)
+    # greedy generators, each closed by BFS, since Dimino's coset step
+    # would assume the axioms still unchecked
+    mul = lambda a, b: rows[a][b]
+    gens: list[int] = []
+    reached = {identity}
+    for x in range(n):
+        if x not in reached:
+            gens.append(x)
+            reached = set(_bfs_order(identity, gens, mul, n + 1)[0])
     for g in gens:
         row_g = rows[g]
         for a in range(n):
@@ -339,7 +334,7 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise NotAGroup("multiplication is not associative", witness=(a, g, c))
-    return _from_mul(n, lambda a, b: rows[a][b], sorted(gens), labels, identity)
+    return _from_mul(n, mul, sorted(gens), labels, identity)
 
 
 def cycle_notation(perm: Sequence[int]) -> str:
@@ -742,27 +737,32 @@ def _first_bad_edge(domain: FiniteGroup, codomain: FiniteGroup,
     return None
 
 
-def all_subgroups(group: FiniteGroup, enum_max: int | None = None) -> list[Subgroup]:
-    """Every subgroup exactly once, ascending by order then member tuple.
+def _overgroups(group: FiniteGroup, seeds: Iterable[int],
+                enum_max: int | None = None) -> list[Subgroup]:
+    """Every subgroup containing `seeds`, ascending by order then member tuple.
 
-    Built by repeatedly extending known subgroups with one new cyclic
-    generator until no new closure appears.
+    Those are exactly the subgroups reached from <seeds> one element at a
+    time, so each is grown from a fork of a smaller one's closure.
     """
     limit = enum_max if enum_max is not None else config.SUBGROUP_ENUM_MAX
     if group.order > limit:
         raise OrderBudgetExceeded(limit, "subgroup enumeration")
-    trivial = frozenset({0})
-    known = {trivial}
-    queue = [trivial]
+    queue = [_closure_of(group, seeds)]
+    known = {frozenset(queue[0].members)}
     while queue:
         current = queue.pop()
         for x in range(group.order):
-            if x not in current:
-                bigger = frozenset(
-                    subgroup_generated(group, current | {x}).members
-                )
-                if bigger not in known:
-                    known.add(bigger)
+            if x not in current.members:
+                bigger = current.fork().extend([x])
+                key = frozenset(bigger.members)
+                if key not in known:
+                    known.add(key)
                     queue.append(bigger)
     ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
     return [Subgroup(group, s, _checked=True) for s in ordered]
+
+
+def all_subgroups(group: FiniteGroup, enum_max: int | None = None) -> list[Subgroup]:
+    """Every subgroup exactly once, ascending by order then member tuple,
+    from one walk of forked closures up from the trivial subgroup."""
+    return _overgroups(group, (), enum_max)

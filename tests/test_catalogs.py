@@ -1,9 +1,15 @@
 """Catalogs, classification, truncated generators, factorization checks."""
 
+import math
+import time
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_groups import brute_subgroups
 
 import cct
-from cct.catalogs import Catalog, CatalogEntry, resolve_class_predicate
+from cct.catalogs import Catalog, CatalogEntry, _is_prime, resolve_class_predicate
 from cct.errors import OrderBudgetExceeded
 
 
@@ -21,6 +27,30 @@ def test_truncated_generator_errors():
         cct.truncated_generator(4, 2)
     with pytest.raises(ValueError):
         cct.truncated_generator(3, 0)
+
+
+def test_is_prime_matches_trial_division():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(-3, 10**4))
+    # a strong pseudoprime to every prime base up to 37
+    assert not _is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(3_317_044_064_679_887_385_961_981)
+
+
+@pytest.mark.parametrize("p, prime", [(1000000000039, True), (200000000000062, False),
+                                      (999999999999999989, True)])
+def test_large_class_primes_resolve_fast(p, prime):
+    start = time.perf_counter()
+    if prime:
+        trivial = cct.subgroup_generated(cct.cyclic(2), [])
+        assert resolve_class_predicate(f"{p}-group")(trivial)
+    else:
+        with pytest.raises(ValueError, match=f"{p} is not prime"):
+            resolve_class_predicate(f"{p}-group")
+    assert time.perf_counter() - start < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -264,3 +294,68 @@ def test_class_predicates():
         resolve_class_predicate("weird")
     cct.register_class_predicate("order-3", lambda s: s.order == 3)
     assert resolve_class_predicate("order-3")(subs[1]) == (subs[1].order == 3)
+
+
+
+
+_BRUTE_BY_LABELS = {}
+
+
+def _oracle_subgroups(group):
+    """brute_subgroups of a permutation group, in (order, sorted members)
+    order.  Brute force is slow, so it runs once per element set: the same
+    permutation group recurs under other generators and numberings."""
+    key = frozenset(group.labels)
+    if key not in _BRUTE_BY_LABELS:
+        _BRUTE_BY_LABELS[key] = [frozenset(group.labels[x] for x in sub)
+                                 for sub in brute_subgroups(group)]
+    index = {label: x for x, label in enumerate(group.labels)}
+    subs = [frozenset(index[label] for label in sub) for sub in _BRUTE_BY_LABELS[key]]
+    return sorted(subs, key=lambda sub: (len(sub), sorted(sub)))
+
+
+HOM_DOMAINS = (cct.cyclic(2), cct.cyclic(3), cct.cyclic(4), cct.abelian([2, 2]))
+PREDICATES = ("2-group", "3-group", "5-group", "abelian", "cyclic", "trivial", "all")
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_factor_through_class_matches_brute_force(data):
+    # degrees 4 and 5 drawn more often: the small degrees give few groups
+    degree = data.draw(st.integers(1, 5) | st.sampled_from([4, 5]))
+    perms = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    group = cct.from_permutations(perms, degree)
+    assume(group.order <= 20)  # the oracle is exponential in log2(order)
+    domain = data.draw(st.sampled_from(HOM_DOMAINS))
+    hom = data.draw(st.sampled_from(cct.enumerate_homs(domain, group)))
+    image = set(hom.full_map)
+    for name in PREDICATES:
+        predicate = resolve_class_predicate(name)
+        expected = next((sub for sub in _oracle_subgroups(group)
+                         if image <= sub and predicate(cct.Subgroup(group, sub))), None)
+        found = cct.factor_through_class(cct.FactorizationQuery(hom, name))
+        assert (None if found is None else found.members) == expected, name
+
+
+def test_subgroup_walks_grow_forked_closures(monkeypatch):
+    calls = {"add": 0, "subgroup_generated": 0}
+    add, generated = cct.groups._Closure.add, cct.groups.subgroup_generated
+
+    def counting_add(self, g):
+        calls["add"] += 1
+        return add(self, g)
+
+    def counting_generated(*args, **kwargs):
+        calls["subgroup_generated"] += 1
+        return generated(*args, **kwargs)
+
+    monkeypatch.setattr(cct.groups._Closure, "add", counting_add)
+    monkeypatch.setattr(cct.groups, "subgroup_generated", counting_generated)
+    assert len(cct.all_subgroups(cct.abelian([2] * 5))) == 374
+    assert calls["subgroup_generated"] == 0 and calls["add"] <= 10_000
+
+    d64 = cct.dihedral(64)
+    hom = next(h for h in cct.enumerate_homs(cct.cyclic(4), d64) if any(h.full_map))
+    calls["add"] = 0
+    assert cct.factor_through_class(cct.FactorizationQuery(hom, "2-group")) is not None
+    assert calls["add"] < 1000

@@ -129,6 +129,16 @@ def test_factor_command():
     assert rep["result"]["subgroup"]["order"] == 2
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 200000000000062])
+def test_non_prime_errors_are_unchanged(p):
+    code, out, err = invoke(["factor", "--gen", "z2", "--target", "s3",
+                             "--class", f"{p}-group"])
+    assert (code, out, err) == (2, "", f"error: {p}-group: {p} is not prime\n")
+    with pytest.raises(ValueError) as exc:
+        parse_spec_text(f"genspec b = truncated {p} 2\n")
+    assert str(exc.value) == f"{p} is not prime"
+
+
 def test_classify_command_with_spec(tmp_path):
     spec = tmp_path / "groups.spec"
     spec.write_text(

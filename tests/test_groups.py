@@ -413,10 +413,10 @@ def test_all_subgroups_counts(standard_groups):
 
 
 def test_all_subgroups_matches_brute_force(standard_groups):
-    for key in ("z6", "v4", "d8", "a4", "s4"):
-        g = standard_groups[key]
-        fast = {s.members for s in cct.all_subgroups(g)}
-        assert fast == brute_subgroups(g), key
+    groups = [standard_groups[key] for key in ("z6", "v4", "d8", "q8", "a4", "s4")]
+    for g in groups + [cct.dihedral(16), cct.abelian([2, 2, 2])]:
+        fast = [(s.order, s.sorted_members()) for s in cct.all_subgroups(g)]
+        assert fast == sorted((len(s), tuple(sorted(s))) for s in brute_subgroups(g)), g
 
 
 def test_all_subgroups_sorted_and_valid(standard_groups):
@@ -573,6 +573,11 @@ def test_as_group_table_is_the_restricted_product(data):
     by_label = {parent.label(x): x for x in range(parent.order)}
     embed = [by_label[group.label(i)] for i in range(group.order)]
     assert embed[0] == 0 and set(embed) == sub.members
+    greedy = []  # each member outside the BFS closure of those taken before
+    for x in sub.sorted_members():
+        if x not in naive_closure(parent, greedy):
+            greedy.append(x)
+    assert [embed[g] for g in group.generators] == (greedy or [0])
     assert all(embed[group.mul(i, j)] == parent.mul(embed[i], embed[j])
                for i in range(group.order) for j in range(group.order))
     assert cct.subgroup_generated(group, group.generators).order == group.order
