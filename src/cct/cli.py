@@ -22,8 +22,8 @@ from .coreflections import (
     GeneratorSpec,
     hierarchy_report,
     radical,
+    radical_chain_check,
     socle,
-    verify_radical_property,
 )
 from .errors import CctError, UndefinedName
 from .groups import FiniteGroup, Subgroup, is_normal
@@ -45,8 +45,7 @@ def _subgroup_json(sub: Subgroup) -> dict:
     }
 
 
-def _resolve_group(env: dict, name: str) -> FiniteGroup:
-    obj = resolve_name(env, name)
+def _as_group(obj, name: str) -> FiniteGroup:
     if isinstance(obj, GeneratorSpec):
         if len(obj.factors) == 1:
             return obj.factors[0]
@@ -54,9 +53,27 @@ def _resolve_group(env: dict, name: str) -> FiniteGroup:
     return obj
 
 
-def _resolve_gen(env: dict, name: str) -> GeneratorSpec:
-    obj = resolve_name(env, name)
-    return GeneratorSpec.of(obj)
+def _resolve_inputs(env: dict, args) -> dict:
+    """The objects that --gen and --target name, each resolved once.
+
+    A command that needs a name fails on it when it is missing or
+    undefined.  Otherwise a name is resolved only for the JSON report's
+    echo, which leaves out an undefined one.
+    """
+    named = [(attr, getattr(args, attr), args.command in needers)
+             for attr, needers in (("gen", _NEEDS_GEN), ("target", _NEEDS_TARGET))]
+    for attr, name, needed in named:
+        if needed and not name:
+            raise ValueError(f"--{attr} is required for {args.command}")
+    inputs = {}
+    for attr, name, needed in named:
+        if name and (needed or args.format == "json"):
+            try:
+                inputs[attr] = resolve_name(env, name)
+            except UndefinedName:
+                if needed:
+                    raise
+    return inputs
 
 
 def _targets(env: dict, args) -> Catalog:
@@ -72,16 +89,17 @@ def _genspecs(env: dict) -> list[tuple[str, GeneratorSpec]]:
     specs = [(name, obj) for name, obj in env.items() if isinstance(obj, GeneratorSpec)]
     if specs:
         return specs
-    return [(name, _resolve_gen({}, name)) for name in _BUILTIN_GENS]
+    return [(name, GeneratorSpec.of(resolve_name({}, name))) for name in _BUILTIN_GENS]
 
 
 # ---------------------------------------------------------------------------
-# command handlers: return (result_dict, text_lines, exit_code)
+# command handlers: take the spec environment, the parsed arguments and the
+# resolved --gen/--target objects; return (result_dict, text_lines, exit_code)
 
 
-def _cmd_socle(env, args):
-    gen = _resolve_gen(env, args.gen)
-    target = _resolve_group(env, args.target)
+def _cmd_socle(env, args, inputs):
+    gen = GeneratorSpec.of(inputs["gen"])
+    target = _as_group(inputs["target"], args.target)
     sub = socle(gen, target)
     generated = sub.order == target.order
     result = {"subgroup": _subgroup_json(sub), "is_generated": generated}
@@ -94,9 +112,9 @@ def _cmd_socle(env, args):
     return result, lines, 0
 
 
-def _cmd_radical(env, args):
-    gen = _resolve_gen(env, args.gen)
-    target = _resolve_group(env, args.target)
+def _cmd_radical(env, args, inputs):
+    gen = GeneratorSpec.of(inputs["gen"])
+    target = _as_group(inputs["target"], args.target)
     chain = radical(gen, target)
     constructible = chain.final.order == target.order
     result = {
@@ -114,9 +132,9 @@ def _cmd_radical(env, args):
     return result, lines, 0
 
 
-def _cmd_homs(env, args):
-    domain = _resolve_group(env, args.gen)
-    codomain = _resolve_group(env, args.target)
+def _cmd_homs(env, args, inputs):
+    domain = _as_group(inputs["gen"], args.gen)
+    codomain = _as_group(inputs["target"], args.target)
     homs = enumerate_homs(domain, codomain)
     result = {
         "count": len(homs),
@@ -128,9 +146,9 @@ def _cmd_homs(env, args):
     return result, lines, 0
 
 
-def _cmd_iso(env, args):
-    left = _resolve_group(env, args.gen)
-    right = _resolve_group(env, args.target)
+def _cmd_iso(env, args, inputs):
+    left = _as_group(inputs["gen"], args.gen)
+    right = _as_group(inputs["target"], args.target)
     witness = isomorphism(left, right)
     result = {
         "isomorphic": witness is not None,
@@ -140,7 +158,7 @@ def _cmd_iso(env, args):
     return result, lines, 0
 
 
-def _cmd_classify(env, args):
+def _cmd_classify(env, args, inputs):
     catalog = _targets(env, args)
     classes = classify_up_to_iso(catalog)
     result = {
@@ -152,9 +170,9 @@ def _cmd_classify(env, args):
     return result, lines, 0
 
 
-def _cmd_hierarchy(env, args):
-    gen = _resolve_gen(env, args.gen)
-    target = _resolve_group(env, args.target)
+def _cmd_hierarchy(env, args, inputs):
+    gen = GeneratorSpec.of(inputs["gen"])
+    target = _as_group(inputs["target"], args.target)
     report = hierarchy_report(gen, target)
     result = {
         "socle": _subgroup_json(report.socle),
@@ -173,9 +191,9 @@ def _cmd_hierarchy(env, args):
     return result, lines, 0
 
 
-def _cmd_factor(env, args):
-    domain = _resolve_group(env, args.gen)
-    codomain = _resolve_group(env, args.target)
+def _cmd_factor(env, args, inputs):
+    domain = _as_group(inputs["gen"], args.gen)
+    codomain = _as_group(inputs["target"], args.target)
     homs = enumerate_homs(domain, codomain)
     if not 0 <= args.hom < len(homs):
         raise ValueError(f"--hom {args.hom} out of range (found {len(homs)} homs)")
@@ -195,7 +213,7 @@ def _cmd_factor(env, args):
     return result, lines, 0
 
 
-def _cmd_catalog(env, args):
+def _cmd_catalog(env, args, inputs):
     catalog = build_small_catalog(args.max_order)
     result = {
         "entries": [
@@ -208,7 +226,7 @@ def _cmd_catalog(env, args):
     return result, lines, 0
 
 
-def _cmd_verify(env, args):
+def _cmd_verify(env, args, inputs):
     gens = _genspecs(env)
     catalog = _targets(env, args)
     rng = random.Random(args.seed)
@@ -240,7 +258,7 @@ def _cmd_verify(env, args):
             if chain.length - 1 > math.log2(max(entry.group.order, 1)):
                 fail("chain-length", gen_name, entry.name, f"{chain.length} stages")
             checks += 1
-            chk = verify_radical_property(gen, entry.group)
+            chk = radical_chain_check(gen, chain)
             if not chk.ok:
                 fail("quotient-triviality", gen_name, entry.name,
                      f"hom with images {chk.offender.gen_images}")
@@ -341,11 +359,8 @@ def run(argv, out=None, err=None) -> int:
     start = time.perf_counter()
     try:
         env = parse_spec_file(args.spec, args.budget) if args.spec else {}
-        if args.command in _NEEDS_GEN and not args.gen:
-            raise ValueError(f"--gen is required for {args.command}")
-        if args.command in _NEEDS_TARGET and not args.target:
-            raise ValueError(f"--target is required for {args.command}")
-        result, lines, code = _HANDLERS[args.command](env, args)
+        inputs = _resolve_inputs(env, args)
+        result, lines, code = _HANDLERS[args.command](env, args, inputs)
     except (CctError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -356,7 +371,7 @@ def run(argv, out=None, err=None) -> int:
             "tool": "cct",
             "version": __version__,
             "command": args.command,
-            "inputs": _inputs_echo(env, args),
+            "inputs": _inputs_echo(args, inputs),
             "result": result,
             "timing": {"seconds": round(elapsed, 6)},
         }
@@ -367,16 +382,12 @@ def run(argv, out=None, err=None) -> int:
     return code
 
 
-def _inputs_echo(env: dict, args) -> dict:
+def _inputs_echo(args, inputs: dict) -> dict:
     orders = {}
     gen_factor_orders = None
     for attr in ("gen", "target"):
-        name = getattr(args, attr, None)
-        if name:
-            try:
-                obj = resolve_name(env, name)
-            except UndefinedName:
-                continue
+        if attr in inputs:
+            name, obj = getattr(args, attr), inputs[attr]
             if isinstance(obj, GeneratorSpec):
                 gen_factor_orders = [f.order for f in obj.factors]
                 if len(obj.factors) == 1:

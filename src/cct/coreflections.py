@@ -143,8 +143,16 @@ def verify_radical_property(gen: GeneratorSpec | FiniteGroup,
     and carries the offending homomorphism as a witness.
     """
     spec = GeneratorSpec.of(gen)
-    chain = radical(spec, target)
-    qmap = quotient(target, chain.final)
+    return radical_chain_check(spec, radical(spec, target))
+
+
+def radical_chain_check(spec: GeneratorSpec, chain: RadicalChain) -> RadicalCheck:
+    """`verify_radical_property` on a radical chain already built for `spec`.
+
+    Left out of `__all__`: it serves callers that hold the chain, such as
+    `cli verify`, so that the chain is not built twice.
+    """
+    qmap = quotient(chain.target, chain.final)
     for factor in spec.factors:
         for hom in iter_homs(factor, qmap.target):
             if any(hom.full_map):

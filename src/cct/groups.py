@@ -83,18 +83,24 @@ class FiniteGroup:
         return self._inv[a]
 
     def element_order(self, x: int) -> int:
-        """Least m >= 1 with x^m = identity; always divides |G|."""
-        if self._element_orders is None:
-            self._element_orders = [0] * self.order
-        cached = self._element_orders[x]
-        if cached:
-            return cached
-        m, y = 1, x
-        while y != 0:
-            y = self.mul(y, x)
-            m += 1
-        self._element_orders[x] = m
-        return m
+        """Least m >= 1 with x^m = identity; always divides |G|.
+
+        One walk of <x> fills the cache for every power of x, since x^k has
+        order m / gcd(m, k); listing all element orders thus costs one walk
+        per cyclic subgroup.
+        """
+        orders = self._element_orders
+        if orders is None:
+            orders = self._element_orders = [0] * self.order
+        if not orders[x]:
+            powers = [x]
+            while powers[-1] != 0:
+                powers.append(self.mul(powers[-1], x))
+            m = len(powers)
+            for k, y in enumerate(powers, 1):
+                if not orders[y]:
+                    orders[y] = m // math.gcd(m, k)
+        return orders[x]
 
     @property
     def is_abelian(self) -> bool:

@@ -1,14 +1,19 @@
 """Homomorphism and isomorphism enumeration between finite groups.
 
-One scan serves both.  It walks the image tuples of a minimal generating
-set of the domain in lexicographic order, each image drawn from the
-codomain elements whose order divides the generator's order (equals it,
-for an isomorphism).  Each tuple is extended to a full map along the
-domain's BFS word table, and the map is accepted exactly when
-`groups._first_bad_edge`, the same check that guards quotients, finds
-every Cayley-graph edge multiplicative.  That check makes the search
-sound and complete, and the lexicographic scan makes the output order
-reproducible.
+One backtracking search serves both.  It picks images for a minimal
+generating set m1...mk of the domain, each from the codomain elements
+whose order divides the generator's order (equals it, for an
+isomorphism), in lexicographic order.  The walk follows the chain
+<m1> < <m1, m2> < ... < <m1, ..., mk>: choosing the image of mj maps the
+elements new to <m1, ..., mj>, each as p mi with p already mapped, and
+checks every other Cayley edge (x, i), i <= j, inside that subgroup as
+soon as both x and x mi are mapped.  A candidate dies at its first bad
+edge, and a prefix of images whose map on <m1, ..., mj> is not a
+homomorphism prunes its whole subtree.  A full map whose edges all pass
+is a homomorphism, since every element is a product of the mi, so the
+search is sound and complete; the lexicographic walk makes the output
+order reproducible.  `groups._first_bad_edge` remains the check for a
+map given whole (`Homomorphism.validate`, quotients).
 """
 
 from __future__ import annotations
@@ -82,8 +87,7 @@ class WordTable:
 
     Element x is reached as parent(x) * gens[edge(x)] in the BFS of
     `groups._bfs_order`; the induced word for x is therefore the
-    BFS-shortest positive word, and images extend along discovery order
-    in O(|G|) per candidate assignment.
+    BFS-shortest positive word.
     """
 
     def __init__(self, group: FiniteGroup, gens: tuple[int, ...]):
@@ -108,17 +112,15 @@ class WordTable:
             x = self.parent[x]
         return tuple(reversed(out))
 
-    def extend(self, images: tuple[int, ...], codomain: FiniteGroup) -> tuple[int, ...]:
-        """Full candidate map induced by generator images, via tree edges."""
-        full = [0] * self.group.order
-        for x in self.discovery[1:]:
-            full[x] = codomain.mul(full[self.parent[x]], images[self.edge[x]])
-        return tuple(full)
 
+# One level of the hom search: (target, source, generator position, is a
+# check) steps, then the members of the chain subgroup they complete.
+_Level = tuple[list[tuple[int, int, int, bool]], list[int]]
 
-# Groups are immutable, so a group's minimal generating set never changes;
-# the entry goes when the group does.
+# Groups are immutable, so a group's minimal generating set and the hom
+# search's steps over it never change; an entry goes when the group does.
 _MIN_GENS: weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]] = weakref.WeakKeyDictionary()
+_CHAIN_STEPS: weakref.WeakKeyDictionary[FiniteGroup, list[_Level]] = weakref.WeakKeyDictionary()
 
 
 def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
@@ -233,25 +235,83 @@ def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
     """Full maps of the homomorphisms domain -> codomain, or of the bijective
     ones only, in lexicographic order of the minimal generating set's images.
 
-    A bijection is tested for injectivity before the edge check: the test
-    is far cheaper, and on an elementary abelian domain every tuple of
-    equal-order images passes the edge check.
+    A depth-first walk over the generators' slots: the image of m_j runs
+    the j-th step list of `_chain_steps` on the map built so far, and the
+    walk goes deeper only when every edge check passes, so a bad prefix of
+    images is never extended.  A bijection must also be injective on each
+    chain subgroup, which prunes dependent prefixes; on an elementary
+    abelian domain every tuple of equal-order images passes the edge
+    checks, so this is the test that decides.
     """
     mgs = minimal_generating_set(domain)
-    table = WordTable(domain, mgs)
     orders = [codomain.element_order(y) for y in range(codomain.order)]
     gen_orders = [domain.element_order(g) for g in mgs]
     if bijective:
         slots = [[y for y, o in enumerate(orders) if o == m] for m in gen_orders]
     else:
         slots = [[y for y, o in enumerate(orders) if m % o == 0] for m in gen_orders]
-    n = domain.order
-    for images in itertools.product(*slots):
-        full = table.extend(images, codomain)
-        if bijective and len(set(full)) != n:
-            continue
-        if _first_bad_edge(domain, codomain, full) is None:
-            yield full
+    levels = _chain_steps(domain, mgs)
+    mul = codomain.mul
+    f = [0] * domain.order
+    images = [0] * len(mgs)
+
+    def walk(j: int) -> Iterator[tuple[int, ...]]:
+        if j == len(levels):
+            yield tuple(f)
+            return
+        steps, members = levels[j]
+        for a in slots[j]:
+            images[j] = a
+            for target, source, i, check in steps:
+                v = mul(f[source], images[i])
+                if not check:
+                    f[target] = v
+                elif f[target] != v:
+                    break
+            else:
+                if not bijective or len({f[x] for x in members}) == len(members):
+                    yield from walk(j + 1)
+
+    yield from walk(0)
+
+
+def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
+    """Per generator gens[j], the steps that extend a map on
+    H_{j-1} = <gens[:j]> to H_j = <gens[:j+1]>, and the members of H_j.
+    `gens` is the domain's minimal generating set, which the cache assumes.
+
+    A step (target, source, i, check) computes v = f(source) f(gens[i]).
+    A defining step sets f(target) = v; the elements new to H_j are
+    defined in the BFS order of H_j over gens[:j+1], each from its BFS
+    parent.  A checking step requires f(target) = v, one for every Cayley
+    edge (x, i) inside H_j that is neither a tree edge nor an edge of
+    H_{j-1}; it comes right after the later of its two ends is defined.
+    Since gens is a minimal generating set, gens[j] lies outside H_{j-1},
+    so every such edge has an end new to H_j.
+    """
+    cached = _CHAIN_STEPS.get(domain)
+    if cached is not None:
+        return cached
+    mul = domain.mul
+    levels = []
+    mapped = {0}
+    for j in range(len(gens)):
+        order, pos, parent, edge = _bfs_order(0, gens[:j + 1], mul, domain.order + 1)
+        rank = {x: r for r, x in enumerate(x for x in order if x not in mapped)}
+        steps, tree = [], set()
+        for x in rank:
+            p, i = order[parent[pos[x]]], edge[pos[x]]
+            steps.append([(x, p, i, False)])
+            tree.add((p, i))
+        for x in order:
+            for i in range(j + 1) if x in rank else (j,):
+                if (x, i) not in tree:
+                    y = mul(x, gens[i])
+                    steps[max(rank.get(x, -1), rank.get(y, -1))].append((y, x, i, True))
+        levels.append(([step for group in steps for step in group], order))
+        mapped.update(rank)
+    _CHAIN_STEPS[domain] = levels
+    return levels
 
 
 def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup,

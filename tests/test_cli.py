@@ -1,5 +1,6 @@
 """Spec files, CLI commands, exit codes, JSON reports."""
 
+import hashlib
 import io
 import json
 
@@ -264,6 +265,25 @@ def test_json_index_convention():
     elements = rep["result"]["subgroup"]["elements"]
     assert elements[0] == 0
     assert all(isinstance(e, int) for e in elements)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["homs", "--gen", "s3", "--target", "s4"],
+     "bf0779eb373c5790de76f681a7342f0738b207a266db3225730e21c630fe5c75"),
+    (["homs", "--gen", "q8", "--target", "s4"],
+     "e8fb94c1fa38263260fe8f247a7d8d3b415f935aaef189f743c2350231804ce8"),
+    (["socle", "--gen", "z2", "--target", "s7"],
+     "119692d7e0b0b53dd973a701f7761c4ea9dfe989fe55e51646923a9c80ed29ee"),
+    (["iso", "--gen", "s3", "--target", "d6"],
+     "b36e803303eed4f3dc5536e44868438099da9a626a9a80c6b3c3c52d59998b44"),
+])
+def test_hom_reports_are_pinned(argv, digest):
+    # the hom order, the isomorphism witness and the socle's members, end
+    # to end: SHA-256 of the sorted JSON report without its timing
+    code, rep = invoke_json(argv)
+    assert code == 0
+    rep.pop("timing")
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_json_determinism_excluding_timing():

@@ -290,6 +290,27 @@ def test_element_order_divides_group_order(standard_groups):
             assert g.order % g.element_order(x) == 0
 
 
+def naive_element_order(group, x):
+    """Oracle: multiply by x until the identity comes back."""
+    m, y = 1, x
+    while y != 0:
+        y = group.mul(y, x)
+        m += 1
+    return m
+
+
+def test_element_orders_match_repeated_multiplication():
+    # each walk of <x> also fills the orders of x's powers, so check every
+    # element, of table-backed and permutation-backed groups alike
+    groups = [e.group for e in cct.build_small_catalog(32)]
+    groups += [cct.alternating(7), cct.symmetric(7)]
+    assert groups[-2].backing == "cayley-table"
+    assert groups[-1].backing == "permutation-composition"
+    for g in groups:
+        got = [g.element_order(x) for x in range(g.order)]
+        assert got == [naive_element_order(g, x) for x in range(g.order)], g
+
+
 # ---------------------------------------------------------------------------
 # subgroup algebra
 

@@ -319,7 +319,9 @@ def hom_image_oracle(a, b):
 
 
 # The direct products store more generators than their minimal generating
-# sets hold (z2xz3, z2xs3) or as many (z2xz4, v4xz2).
+# sets hold (z2xz3, z2xs3) or as many (z2xz4, v4xz2).  The hom search walks
+# a chain of three subgroups out of v4xz2 and e8, and s4 is built from
+# permutations on its three Coxeter generators.
 HOM_POOL = {
     "z1": cct.cyclic(1), "z2": cct.cyclic(2), "z4": cct.cyclic(4), "z6": cct.cyclic(6),
     "v4": cct.abelian([2, 2]), "s3": cct.symmetric(3), "d8": cct.dihedral(8),
@@ -328,6 +330,8 @@ HOM_POOL = {
     "z2xs3": cct.direct_product(cct.cyclic(2), cct.symmetric(3)),
     "z2xz4": cct.direct_product(cct.cyclic(2), cct.cyclic(4)),
     "v4xz2": cct.direct_product(cct.abelian([2, 2]), cct.cyclic(2)),
+    "e8": cct.abelian([2, 2, 2]),
+    "s4": cct.from_permutations([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)], 4),
 }
 
 
@@ -342,6 +346,29 @@ def test_hom_order_and_iso_witness_match_oracle(name_a, name_b):
     bijective = [full for _, full in oracle if len(set(full)) == a.order == b.order]
     iso = cct.isomorphism(a, b)
     assert (None if iso is None else iso.full_map) == (bijective[0] if bijective else None)
+
+
+def test_hom_search_prunes_along_the_generator_chain(monkeypatch):
+    # D8 x Z/2 has minimal generators of orders 4, 4 and 2, so its slots in
+    # S6 hold 256 * 256 * 76 = 4,980,736 image tuples.  Walking the chain
+    # <m1> < <m1, m2> < D8 x Z/2 drops a pair of images that does not map
+    # <m1, m2> homomorphically together with its 76 extensions: the search
+    # makes 1,295,568 products in S6.  Checking every edge only once all
+    # three images are chosen makes 31,895,088.
+    domain = cct.direct_product(cct.dihedral(8), cct.cyclic(2))
+    s6 = cct.symmetric(6)
+    mul, calls = s6.mul, 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 2_000_000:
+            raise AssertionError("hom search made over 2,000,000 products")
+        return mul(a, b)
+
+    monkeypatch.setattr(s6, "mul", counted)
+    assert [domain.element_order(g) for g in cct.minimal_generating_set(domain)] == [4, 4, 2]
+    assert cct.hom_count(domain, s6) == 18256
 
 
 def test_word_table_words_reproduce_elements(standard_groups):
