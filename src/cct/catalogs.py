@@ -298,24 +298,26 @@ def _truncation_bounds(spec: GeneratorSpec) -> dict[int, int] | None:
     return bounds
 
 
-def _fits_truncation(group: FiniteGroup, bounds: dict[int, int]) -> bool:
-    for x in range(group.order):
-        m = group.element_order(x)
+def _bounded_orders(group: FiniteGroup, bounds: dict[int, int]) -> dict[int, bool]:
+    """Each distinct element order that is a power of a prime in `bounds`,
+    mapped to whether it is within that prime's bound."""
+    out = {}
+    for m in set(group.element_orders()):
         pp = _prime_power(m)
-        if pp is not None and pp[0] in bounds and m > bounds[pp[0]]:
-            return False
-    return True
+        if pp is not None and pp[0] in bounds:
+            out[m] = m <= bounds[pp[0]]
+    return out
+
+
+def _fits_truncation(group: FiniteGroup, bounds: dict[int, int]) -> bool:
+    return all(_bounded_orders(group, bounds).values())
 
 
 def _torsion_generators(group: FiniteGroup, bounds: dict[int, int]) -> list[int]:
     """Elements of p-power order within the per-prime truncation bound."""
-    out = []
-    for x in range(1, group.order):
-        m = group.element_order(x)
-        pp = _prime_power(m)
-        if pp is not None and pp[0] in bounds and m <= bounds[pp[0]]:
-            out.append(x)
-    return out
+    within = _bounded_orders(group, bounds)
+    orders = group.element_orders()
+    return [x for x in range(1, group.order) if within.get(orders[x], False)]
 
 
 def socle_equals_radical(gen: GeneratorSpec | FiniteGroup, catalog: Catalog) -> SocleRadicalReport:

@@ -17,6 +17,7 @@ element-order and abelian-flag caches are filled lazily.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -62,6 +63,7 @@ class FiniteGroup:
         self._perms = perms
         self._perm_index = perm_index
         self._element_orders: list[int] | None = None
+        self._orders_complete = False
         self._abelian: bool | None = None
         if not self.generators:
             raise ValueError("generator list must be nonempty")
@@ -102,6 +104,15 @@ class FiniteGroup:
                     orders[y] = m // math.gcd(m, k)
         return orders[x]
 
+    def element_orders(self) -> list[int]:
+        """The order of every element, by index: the shared cache, completed
+        on first use, so callers must not modify it."""
+        if not self._orders_complete:
+            for x in range(self.order):
+                self.element_order(x)
+            self._orders_complete = True
+        return self._element_orders
+
     @property
     def is_abelian(self) -> bool:
         if self._abelian is None:
@@ -120,11 +131,7 @@ class FiniteGroup:
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         """Sorted (element order, multiplicity) pairs; an isomorphism invariant."""
-        counts: dict[int, int] = {}
-        for x in range(self.order):
-            m = self.element_order(x)
-            counts[m] = counts.get(m, 0) + 1
-        return tuple(sorted(counts.items()))
+        return tuple(sorted(Counter(self.element_orders()).items()))
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -748,17 +755,36 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int],
     """Every subgroup containing `seeds`, ascending by order then member tuple.
 
     Those are exactly the subgroups reached from <seeds> one element at a
-    time, so each is grown from a fork of a smaller one's closure.
+    time, so each is grown from a fork of a smaller one's closure.  From a
+    subgroup H, elements x that must give the same overgroup <H, x> share
+    one fork, by two rules:
+
+    - <H, x> = <H, h x> for every h in H, so one x per right coset H x;
+    - <H, x> = <H, x^k> for every k prime to the order of x, so that fork
+      also covers the cosets H x^k of the other generators of <x>.
+
+    The elements covered so far from H are marked in one set, at |H|
+    products per coset, which costs less than one fork.
     """
     limit = enum_max if enum_max is not None else config.SUBGROUP_ENUM_MAX
     if group.order > limit:
         raise OrderBudgetExceeded(limit, "subgroup enumeration")
+    mul = group.mul
+    orders = group.element_orders()
     queue = [_closure_of(group, seeds)]
     known = {frozenset(queue[0].members)}
     while queue:
         current = queue.pop()
+        members = list(current.members)
+        covered = set(members)
         for x in range(group.order):
-            if x not in current.members:
+            if x not in covered:
+                m = orders[x]
+                y = x
+                for k in range(1, m):
+                    if y not in covered and math.gcd(k, m) == 1:
+                        covered.update([mul(h, y) for h in members])
+                    y = mul(y, x)
                 bigger = current.fork().extend([x])
                 key = frozenset(bigger.members)
                 if key not in known:
@@ -770,5 +796,8 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int],
 
 def all_subgroups(group: FiniteGroup, enum_max: int | None = None) -> list[Subgroup]:
     """Every subgroup exactly once, ascending by order then member tuple,
-    from one walk of forked closures up from the trivial subgroup."""
+    from one walk of forked closures up from the trivial subgroup.  From
+    each subgroup H it forks once per right coset H x, and that one fork
+    also covers the cosets of the other generators of <x> (see
+    `_overgroups`)."""
     return _overgroups(group, (), enum_max)

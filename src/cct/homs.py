@@ -244,7 +244,7 @@ def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
     checks, so this is the test that decides.
     """
     mgs = minimal_generating_set(domain)
-    orders = [codomain.element_order(y) for y in range(codomain.order)]
+    orders = codomain.element_orders()
     gen_orders = [domain.element_order(g) for g in mgs]
     if bijective:
         slots = [[y for y, o in enumerate(orders) if o == m] for m in gen_orders]

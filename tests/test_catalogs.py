@@ -359,3 +359,52 @@ def test_subgroup_walks_grow_forked_closures(monkeypatch):
     calls["add"] = 0
     assert cct.factor_through_class(cct.FactorizationQuery(hom, "2-group")) is not None
     assert calls["add"] < 1000
+
+
+def test_subgroup_walk_forks_once_per_coset_class(monkeypatch):
+    # one fork per right coset H x, shared by the generators of <x>
+    forks = 0
+    fork = cct.groups._Closure.fork
+
+    def counting_fork(self):
+        nonlocal forks
+        forks += 1
+        return fork(self)
+
+    monkeypatch.setattr(cct.groups._Closure, "fork", counting_fork)
+    assert len(cct.all_subgroups(cct.abelian([2] * 5))) == 374
+    assert forks <= 2500
+    forks = 0
+    assert len(cct.all_subgroups(cct.dihedral(64))) == 69
+    assert forks <= 500
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_all_subgroups_matches_brute_force_on_random_groups(data):
+    degree = data.draw(st.integers(1, 5) | st.sampled_from([4, 5]))
+    perms = data.draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=3))
+    group = cct.from_permutations(perms, degree)
+    assume(group.order <= 20)  # the oracle is exponential in log2(order)
+    assert [sub.members for sub in cct.all_subgroups(group)] == _oracle_subgroups(group)
+
+
+def test_truncation_checks_factor_each_distinct_order_once(monkeypatch):
+    calls = 0
+    prime_power = cct.catalogs._prime_power
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return prime_power(n)
+
+    monkeypatch.setattr(cct.catalogs, "_prime_power", counting)
+    group = cct.direct_product(cct.dihedral(16), cct.cyclic(3))
+    distinct = len(set(group.element_orders()))
+    bounds = {2: 4, 3: 3}
+    assert not cct.catalogs._fits_truncation(group, bounds)
+    assert calls == distinct
+    torsion = cct.catalogs._torsion_generators(group, bounds)
+    assert calls == 2 * distinct
+    assert torsion == [x for x in range(1, group.order)
+                       if group.element_order(x) in (2, 3, 4)]

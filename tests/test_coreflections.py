@@ -117,6 +117,32 @@ def test_socle_stops_once_it_has_the_whole_target():
         assert calls < 100_000
 
 
+def test_socle_checks_normality_only_of_a_proper_subgroup(monkeypatch):
+    s5 = cct.symmetric(5)
+    calls = 0
+    conjugates_outside = cct.groups._conjugates_outside
+
+    def counting(group, members):
+        nonlocal calls
+        calls += group is s5  # the hom search also runs it on the domain
+        return conjugates_outside(group, members)
+
+    monkeypatch.setattr(cct.groups, "_conjugates_outside", counting)
+    assert cct.socle(cct.cyclic(2), s5).order == 120
+    assert calls == 0
+    assert cct.socle(cct.cyclic(3), s5).order == 60
+    assert calls == 1
+
+    # a hom stream whose images generate a non-normal subgroup is caught
+    s3 = cct.symmetric(3)
+    transposition = next(x for x in range(1, 6) if s3.element_order(x) == 2)
+    z2 = cct.cyclic(2)
+    fake = cct.Homomorphism(z2, s3, (transposition,), (0, transposition))
+    monkeypatch.setattr(cct.coreflections, "iter_homs", lambda domain, target: iter([fake]))
+    with pytest.raises(AssertionError, match="not normal"):
+        cct.socle(z2, s3)
+
+
 def test_generator_spec_validation(standard_groups):
     with pytest.raises(ValueError):
         cct.GeneratorSpec(())

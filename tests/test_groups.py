@@ -311,6 +311,14 @@ def test_element_orders_match_repeated_multiplication():
         assert got == [naive_element_order(g, x) for x in range(g.order)], g
 
 
+def test_element_orders_is_the_completed_cache():
+    g = cct.dihedral(12)
+    g.element_order(3)  # a partly filled cache is completed on first use
+    orders = g.element_orders()
+    assert orders == [naive_element_order(g, x) for x in range(g.order)]
+    assert g.element_orders() is orders
+
+
 # ---------------------------------------------------------------------------
 # subgroup algebra
 
