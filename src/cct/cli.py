@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -56,17 +57,17 @@ def _as_group(obj, name: str) -> FiniteGroup:
 def _resolve_inputs(env: dict, args) -> dict:
     """The objects that --gen and --target name, each resolved once.
 
-    A command that needs a name fails on it when it is missing or
+    A command that needs both names fails on one that is missing or
     undefined.  Otherwise a name is resolved only for the JSON report's
     echo, which leaves out an undefined one.
     """
-    named = [(attr, getattr(args, attr), args.command in needers)
-             for attr, needers in (("gen", _NEEDS_GEN), ("target", _NEEDS_TARGET))]
-    for attr, name, needed in named:
+    needed = args.command in _NEEDS_GEN_AND_TARGET
+    named = [(attr, getattr(args, attr)) for attr in ("gen", "target")]
+    for attr, name in named:
         if needed and not name:
             raise ValueError(f"--{attr} is required for {args.command}")
     inputs = {}
-    for attr, name, needed in named:
+    for attr, name in named:
         if name and (needed or args.format == "json"):
             try:
                 inputs[attr] = resolve_name(env, name)
@@ -312,11 +313,12 @@ _HANDLERS = {
     "catalog": _cmd_catalog,
 }
 
-_NEEDS_GEN = {"socle", "radical", "homs", "iso", "hierarchy", "factor"}
-_NEEDS_TARGET = {"socle", "radical", "homs", "iso", "hierarchy", "factor"}
+_NEEDS_GEN_AND_TARGET = {"socle", "radical", "homs", "iso", "hierarchy", "factor"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use and shared."""
     parser = argparse.ArgumentParser(
         prog="cct",
         description="Socles, radicals and cellular generators for finite groups.",

@@ -14,9 +14,10 @@ import os
 
 ORDER_MAX_DEFAULT = 20000
 
-# Cayley tables are stored up to this order, each built from 2 n |gens|
-# products plus n^2 list reads; larger groups keep a permutation
-# representation with a hash index (O(n^2) memory cliff).
+# Cayley tables ("cayley-table") are stored up to this order, each built
+# from 2 n |gens| products plus n^2 list reads (O(n^2) memory cliff).  A
+# larger group of any construction keeps its raw elements and a hash index:
+# "permutation-composition" for permutation groups, "element-index" else.
 CAYLEY_TABLE_MAX = 4096
 
 SUBGROUP_ENUM_MAX = 128

@@ -6,12 +6,14 @@ generator list (frontier processed FIFO, generators tried in list order).
 Repeated runs therefore number elements identically, which every
 downstream enumeration relies on.
 
-Groups of order at most CAYLEY_TABLE_MAX store a full multiplication
-table, built along the BFS tree from one left-multiplication column per
-generator: 2 n |gens| products plus n^2 list reads, in n^2 memory.  Larger
-permutation groups compose permutations and look up the result in a hash
-index.  A group's elements and table never change after construction; the
-element-order and abelian-flag caches are filled lazily.
+Every group is built by `_bfs_group`.  Up to CAYLEY_TABLE_MAX elements it
+stores a full multiplication table ("cayley-table"), built along the BFS
+tree from one left-multiplication column per generator: 2 n |gens|
+products plus n^2 list reads, in n^2 memory.  Larger groups multiply the
+raw elements they were built from and look the product up in a hash
+index: "permutation-composition" for permutation groups, "element-index"
+for the rest.  A group's elements and table never change after
+construction; the element-order and abelian-flag caches are filled lazily.
 """
 
 from __future__ import annotations
@@ -53,15 +55,16 @@ class FiniteGroup:
     """An immutable finite group on element indices 0..order-1."""
 
     def __init__(self, order, mul_table, inv_table, generators, labels=None,
-                 backing="cayley-table", perms=None, perm_index=None):
+                 backing="cayley-table", elements=None, index=None, raw_mul=None):
         self.order = order
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
         self._table = mul_table
         self._inv = inv_table
-        self._perms = perms
-        self._perm_index = perm_index
+        self._elements = elements
+        self._index = index
+        self._raw_mul = raw_mul
         self._element_orders: list[int] | None = None
         self._orders_complete = False
         self._abelian: bool | None = None
@@ -73,13 +76,12 @@ class FiniteGroup:
     def relabelled(self, labels: Sequence[str]) -> "FiniteGroup":
         """The same group, sharing this one's tables, with new element labels."""
         return FiniteGroup(self.order, self._table, self._inv, self.generators, labels,
-                           backing=self.backing, perms=self._perms,
-                           perm_index=self._perm_index)
+                           self.backing, self._elements, self._index, self._raw_mul)
 
     def mul(self, a: int, b: int) -> int:
         if self._table is not None:
             return self._table[a][b]
-        return self._perm_index[_compose(self._perms[a], self._perms[b])]
+        return self._index[self._raw_mul(self._elements[a], self._elements[b])]
 
     def inv(self, a: int) -> int:
         return self._inv[a]
@@ -165,12 +167,8 @@ class Subgroup:
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (labels inherited), generated
         by each member outside the closure of the smaller ones."""
-        mul = self.parent.mul
         gens = _Closure(self.parent).extend(self.sorted_members()).gens or [0]
-        order, pos, parent, edge = _bfs_order(0, gens, mul, self.order + 1)
-        table, inv = _tree_table(order, pos, gens, mul, parent, edge)
-        return FiniteGroup(self.order, table, inv, [pos[g] for g in gens],
-                           [self.parent.label(e) for e in order])
+        return _bfs_group(0, gens, self.parent.mul, self.order + 1, self.parent.label)[0]
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -193,6 +191,8 @@ class Subgroup:
 
 
 def _validate_subgroup(parent: FiniteGroup, members: frozenset[int]) -> None:
+    if not all(0 <= a < parent.order for a in members):
+        raise ValueError(f"subgroup members must lie in range({parent.order})")
     if 0 not in members:
         raise ValueError("subgroup must contain the identity")
     if parent.order % len(members) != 0:
@@ -250,48 +250,62 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
     return order, pos, parent, edge
 
 
-def _tree_table(order: list, pos: dict, gens: Sequence, mul: Callable,
-                parent: list[int], edge: list[int]) -> tuple[list[list[int]], list[int]]:
-    """Cayley table and inverses of a BFS closure, built along its BFS tree.
+def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
+               label: Callable | None,
+               backing: str = "element-index") -> tuple[FiniteGroup, dict]:
+    """The group `gens` generate under `mul` in canonical BFS order, and its
+    raw-element index (raw element -> element index).
 
-    If a was first reached as p * g, then x_a x_j = x_p (g x_j), so row a is
-    row p read through g's left-multiplication column L_g[j] = pos[g x_j].
-    That costs n products per generator used on a tree edge (2 n |gens|
-    with the BFS itself) and n^2 list reads.  Rows go straight into the
-    table, since the parent's row is always built first.
+    Generators keep their list order and duplicates ([] stands for the
+    identity); `label`, if given, names each raw element.  Up to
+    CAYLEY_TABLE_MAX elements the Cayley table is built along the BFS tree:
+    if a was first reached as p * g, then x_a x_j = x_p (g x_j), so row a is
+    row p (built before it) read through g's left-multiplication column
+    L_g[j] = pos[g x_j], at n products per generator on a tree edge
+    (2 n |gens| with the BFS) and n^2 list reads.  Above it the group keeps
+    the raw elements, `mul` and the index under the name `backing`, with
+    inverses from the same tree: (p g)^-1 = g^-1 p^-1.
     """
-    columns: dict[int, list[int]] = {}
-    table = [list(range(len(order)))]
-    for a in range(1, len(order)):
-        col = columns.get(edge[a])
-        if col is None:
-            g = gens[edge[a]]
-            col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
-        row = table[parent[a]]
-        table.append([row[k] for k in col])
-    return table, [row.index(0) for row in table]
+    order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
+    n = len(order)
+    gen_idx = [pos[g] for g in gens] or [0]
+    labels = [label(x) for x in order] if label is not None else None
+    if n <= config.CAYLEY_TABLE_MAX:
+        columns: dict[int, list[int]] = {}
+        table = [list(range(n))]
+        for a in range(1, n):
+            col = columns.get(edge[a])
+            if col is None:
+                g = gens[edge[a]]
+                col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
+            row = table[parent[a]]
+            table.append([row[k] for k in col])
+        inv = [row.index(0) for row in table]
+        return FiniteGroup(n, table, inv, gen_idx, labels), pos
+    gen_invs = []  # g^-1 = g^(m-1), m the order of g
+    for g in gens:
+        y = g
+        while (z := mul(y, g)) != identity:
+            y = z
+        gen_invs.append(y)
+    inv = [0]
+    for a in range(1, n):
+        inv.append(pos[mul(gen_invs[edge[a]], order[inv[parent[a]]])])
+    return FiniteGroup(n, None, inv, gen_idx, labels, backing, order, pos, mul), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
               labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
     """Renumber a trusted product on 0..n-1 into canonical BFS order."""
-    order, pos, parent, edge = _bfs_order(identity, gens, mul, n + 1)
-    if len(order) != n:
+    label = labels.__getitem__ if labels is not None else None
+    group = _bfs_group(identity, _dedupe(gens), mul, n + 1, label)[0]
+    if group.order != n:
         raise ValueError("generators do not generate the whole table")
-    new_table, inv = _tree_table(order, pos, gens, mul, parent, edge)
-    new_labels = [labels[e] for e in order] if labels is not None else None
-    new_gens = _dedupe([pos[g] for g in gens]) or [0]
-    return FiniteGroup(n, new_table, inv, new_gens, new_labels)
+    return group
 
 
 def _dedupe(xs: Iterable[int]) -> list[int]:
-    seen: set[int] = set()
-    out = []
-    for x in xs:
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-    return out
+    return list(dict.fromkeys(xs))
 
 
 def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = None) -> FiniteGroup:
@@ -387,31 +401,14 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int,
     """Group generated by 0-based permutation tuples of the given degree."""
     limit = order_max if order_max is not None else config.order_max()
     identity = tuple(range(degree))
-    gen_perms = []
-    for g in gens:
-        g = tuple(g)
-        if sorted(g) != list(range(degree)):
+    gen_perms = [tuple(g) for g in gens]
+    for g in gen_perms:
+        if sorted(g) != list(identity):
             raise ValueError(f"{g} is not a permutation of degree {degree}")
-        gen_perms.append(g)
-    order, pos, parent, edge = _bfs_order(identity, gen_perms, _compose, limit)
-    n = len(order)
-    labels = [cycle_notation(p) for p in order]
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    gen_idx = [pos[g] for g in gen_perms] or [0]
-    if n <= config.CAYLEY_TABLE_MAX:
-        table, inv = _tree_table(order, pos, gen_perms, _compose, parent, edge)
-        return FiniteGroup(n, table, inv, gen_idx, labels)
-    inv = [pos[_invert_perm(p)] for p in order]
-    return FiniteGroup(n, None, inv, gen_idx, labels,
-                       backing="permutation-composition", perms=order, perm_index=pos)
-
-
-def _invert_perm(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+    return _bfs_group(identity, gen_perms, _compose, limit, cycle_notation,
+                      "permutation-composition")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,12 +716,9 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     def mul(a: int, b: int) -> int:
         return coset_of[group.mul(reps[a], reps[b])]
 
-    order, pos, parent, edge = _bfs_order(0, gen_cosets, mul, m + 1)
-    if len(order) != m:
+    target, pos = _bfs_group(0, gen_cosets, mul, m + 1, lambda c: group.label(reps[c]))
+    if target.order != m:
         raise AssertionError("generator images fail to generate the quotient")
-    table, inv = _tree_table(order, pos, gen_cosets, mul, parent, edge)
-    target = FiniteGroup(m, table, inv, [pos[c] for c in gen_cosets],
-                         [group.label(reps[c]) for c in order])
     projection = tuple(pos[coset_of[x]] for x in range(n))
 
     bad = _first_bad_edge(group, target, projection)

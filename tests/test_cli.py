@@ -182,6 +182,22 @@ def test_usage_errors_exit_2():
     assert code == 2 and "out of range" in err
 
 
+def test_run_builds_one_parser_per_process(monkeypatch):
+    top_level = []
+    init = cct.cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "cct":
+            top_level.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cct.cli.argparse.ArgumentParser, "__init__", counting)
+    cct.cli.build_parser.cache_clear()
+    assert invoke(["catalog", "--max-order", "2"])[0] == 0
+    assert invoke(["catalog", "--max-order", "3"])[0] == 0
+    assert len(top_level) == 1
+
+
 def test_multi_factor_genspec_rejected_where_group_needed(tmp_path):
     spec = tmp_path / "g.spec"
     spec.write_text("genspec b = truncated 2 3\n")

@@ -533,6 +533,76 @@ def test_permutation_backing_above_table_cap(monkeypatch):
     assert cct.subgroup_generated(s5, list(s5.generators)).order == 120
 
 
+def test_subgroup_rejects_members_out_of_range():
+    # -4 would index the identity's row and 4 no row at all
+    z4 = cct.cyclic(4)
+    for members in ({0, -4}, {0, 4}):
+        with pytest.raises(ValueError, match="range"):
+            cct.Subgroup(z4, members)
+
+
+def test_default_cap_keeps_large_groups_off_the_table():
+    z = cct.cyclic(4500)
+    assert z.backing == "element-index"
+    assert z.mul(4000, 700) == 200 and z.inv(1) == 4499
+    s7 = cct.symmetric(7)
+    whole = cct.subgroup_generated(s7, s7.generators).as_group()
+    assert whole.order == 5040 and whole.backing == "element-index"
+    assert all(whole.mul(x, whole.inv(x)) == 0 for x in range(whole.order))
+
+
+def affine_table(p):
+    """The maps x -> a x + b of Z/p under composition, (a, b) numbered
+    (a - 1) p + b: a Cayley table that no BFS numbering produced."""
+    def mul(x, y):
+        (a1, b1), (a2, b2) = divmod(x, p), divmod(y, p)
+        return ((a1 + 1) * (a2 + 1) % p - 1) * p + ((a1 + 1) * b2 + b1) % p
+    return [[mul(x, y) for y in range(p * (p - 1))] for x in range(p * (p - 1))]
+
+
+def _s6_point_stabilizer():
+    s6 = cct.symmetric(6)
+    return cct.subgroup_generated(s6, [x for x in range(720) if "6" not in s6.label(x)])
+
+
+def _quotient_by_z2():
+    g = cct.direct_product(cct.symmetric(5), cct.cyclic(2))
+    z2 = next(x for x in range(g.order) if g.label(x) == "((),1)")
+    return cct.quotient(g, cct.normal_closure(g, [z2])).target
+
+
+# one group of order above 100 per constructor
+_CAP_BUILDS = {
+    "cyclic": lambda: cct.cyclic(120),
+    "abelian": lambda: cct.abelian([2, 6, 10]),
+    "dihedral": lambda: cct.dihedral(128),
+    "direct_product": lambda: cct.direct_product(cct.symmetric(4), cct.cyclic(6)),
+    "from_cayley": lambda: cct.from_cayley(affine_table(11)),
+    "from_permutations": lambda: cct.symmetric(5),
+    "realize": lambda: cct.realize(
+        cct.parse_presentation("<a,b | a^60, a^30 b^-2, b^-1 a b a>"), 2000),
+    "as_group": lambda: _s6_point_stabilizer().as_group(),
+    "quotient": _quotient_by_z2,
+}
+
+
+def group_data(g):
+    n = g.order
+    return ([g.label(x) for x in range(n)], g.generators, [g.inv(x) for x in range(n)],
+            g.element_orders(), cayley_table(g))
+
+
+@pytest.mark.parametrize("name", sorted(_CAP_BUILDS))
+def test_backing_leaves_the_group_unchanged(name, monkeypatch):
+    tabled = _CAP_BUILDS[name]()
+    monkeypatch.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 100)
+    indexed = _CAP_BUILDS[name]()
+    assert tabled.order > 100 and tabled.backing == "cayley-table"
+    assert indexed.backing == ("permutation-composition"
+                               if name in ("from_permutations", "realize") else "element-index")
+    assert group_data(indexed) == group_data(tabled)
+
+
 # ---------------------------------------------------------------------------
 # Cayley tables built along the BFS tree
 

@@ -33,3 +33,45 @@ def boundary_breaches():
 
 def test_no_private_access_across_objects_or_modules():
     assert boundary_breaches() == []
+
+
+def nodes_outside(path, wanted, allowed):
+    """(file, line, scope) for each node of `path` that `wanted` picks,
+    unless its enclosing function (dotted through classes) is in `allowed`."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if wanted(child) and scope not in allowed:
+                out.append((path.name, child.lineno, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return out
+
+
+def name_of(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_one_constructor_builds_every_group():
+    """Only `groups._bfs_group` numbers elements and picks the backing, so
+    only it (and `relabelled`, which shares an existing group's tables)
+    calls FiniteGroup(...), and only it reads the table cap."""
+    calls, cap_reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        calls += nodes_outside(
+            path, lambda n: isinstance(n, ast.Call) and name_of(n.func) == "FiniteGroup",
+            {"_bfs_group", "FiniteGroup.relabelled"})
+        cap_reads += nodes_outside(
+            path, lambda n: name_of(n) == "CAYLEY_TABLE_MAX" and isinstance(n.ctx, ast.Load),
+            {"_bfs_group"})
+    assert calls == []
+    assert cap_reads == []
