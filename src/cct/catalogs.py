@@ -10,6 +10,7 @@ agree on every catalog entry whose p-torsion fits under the truncation.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -194,10 +195,10 @@ def build_small_catalog(max_order: int) -> Catalog:
         add(f"dic{4 * m}", realize(parse_presentation(pres), budget_for(4 * m)),
             f"present {pres}")
     for n in range(3, 5):
-        if _factorial(n) <= max_order:
+        if math.factorial(n) <= max_order:
             add(f"s{n}", symmetric(n), f"symmetric {n}")
     for n in range(4, 6):
-        if _factorial(n) // 2 <= max_order:
+        if math.factorial(n) // 2 <= max_order:
             add(f"a{n}", alternating(n), f"alternating {n}")
 
     base = list(entries)
@@ -218,13 +219,6 @@ def build_small_catalog(max_order: int) -> Catalog:
 def budget_for(order: int) -> int:
     """Coset budget with slack for the pre-coincidence overshoot."""
     return max(64, 8 * order)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,24 @@
 """Socles, radicals and the class-membership predicates they decide.
 
 The socle of a target under a generator is the subgroup generated by the
-images of all homomorphisms out of the generator's factors; the radical
-grows the socle through an ascending chain, pulling the quotient's socle
-back through the projection until the quotient admits no nontrivial
-homomorphism from any factor.  A generator with several factors stands
-for their formal free product, whose homomorphisms are exactly tuples of
-factor homomorphisms, so the socle is computed factor-wise and the free
-product itself is never materialized.
+images of all homomorphisms out of the generator's factors.  The radical
+grows the socle through an ascending chain: the next stage after N is the
+preimage of the socle of G/N, which is N joined with lifts of the images
+of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
+by the hom walk run on the cosets of N (`homs.hom_image_lifts`), so no
+quotient group is built; the chain stops when a stage adds nothing.  A
+generator with several factors stands for their formal free product,
+whose homomorphisms are exactly tuples of factor homomorphisms, so the
+socle is computed factor-wise and the free product itself is never
+materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, Subgroup, _Closure, is_normal, quotient
-from .homs import Homomorphism, iter_homs
+from .groups import FiniteGroup, Subgroup, _Closure, _cosets, is_normal, quotient
+from .homs import Homomorphism, hom_image_lifts, iter_homs
 
 __all__ = [
     "GeneratorSpec",
@@ -80,11 +83,18 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
     homomorphism yields another one), which is asserted before returning
     a proper subgroup; the whole target is normal by definition.
     """
-    spec = GeneratorSpec.of(gen)
+    return _normal_stage(target, _socle_closure(GeneratorSpec.of(gen), target))
+
+
+def _socle_closure(spec: GeneratorSpec, target: FiniteGroup) -> _Closure:
     images = (y for factor in spec.factors
               for hom in iter_homs(factor, target)
               for y in hom.gen_images)
-    result = _Closure(target).extend(images).subgroup()
+    return _Closure(target).extend(images)
+
+
+def _normal_stage(target: FiniteGroup, closure: _Closure) -> Subgroup:
+    result = closure.subgroup()
     if result.order < target.order and not is_normal(target, result):
         raise AssertionError("socle is not normal: hom enumeration is broken")
     return result
@@ -93,24 +103,28 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
 def radical(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> RadicalChain:
     """Ascending chain from the socle to the radical.
 
-    Each step quotients by the current stage, takes the socle in the
-    quotient, and pulls it back through the projection; the chain stops
-    when the pulled-back socle is trivial, so each kept stage strictly
-    increases and at most log2 |target| steps occur.
+    The stage after N is the preimage of the socle of target/N: a fork of
+    N's closure, extended by lifts of the images of every homomorphism from
+    each factor into target/N.  `homs.hom_image_lifts` finds those
+    homomorphisms on the cosets of N, labelled once per stage, so no
+    quotient group is built.  The chain stops when a stage adds nothing,
+    which is when target/N admits only trivial homomorphisms, or when it
+    reaches the whole target; each kept stage is at least twice the one
+    before, so at most log2 |target| steps occur.  Every proper stage is
+    asserted normal, as the socle is.
     """
     spec = GeneratorSpec.of(gen)
-    current = socle(spec, target)
-    stages = [current]
-    while current.order < target.order:
-        qmap = quotient(target, current)
-        upstairs = socle(spec, qmap.target)
-        if upstairs.order == 1:
+    closure = _socle_closure(spec, target)
+    stages = [_normal_stage(target, closure)]
+    while not closure.is_whole:
+        coset_of, reps = _cosets(target, closure.members)
+        grown = closure.fork().extend(
+            y for factor in spec.factors
+            for y in hom_image_lifts(factor, target, coset_of, reps))
+        if len(grown.members) == len(closure.members):
             break
-        members = frozenset(
-            x for x in range(target.order) if qmap.projection[x] in upstairs.members
-        )
-        current = Subgroup(target, members, _checked=True)
-        stages.append(current)
+        closure = grown
+        stages.append(_normal_stage(target, closure))
     return RadicalChain(target, tuple(stages))
 
 

@@ -689,6 +689,21 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     return next(_conjugates_outside(group, sub.members), None) is None
 
 
+def _cosets(group: FiniteGroup, members: Collection[int]) -> tuple[list[int], list[int]]:
+    """Labels of the cosets x N of the subgroup N with these members, at
+    |G| products: coset_of[x] is the label of x N, numbered in order of
+    their least elements, which reps lists.  N itself is coset 0."""
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    for x in range(group.order):
+        if coset_of[x] < 0:
+            cid = len(reps)
+            reps.append(x)
+            for k in members:
+                coset_of[group.mul(x, k)] = cid
+    return coset_of, reps
+
+
 def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; cosets labelled by their least element.
 
@@ -702,14 +717,7 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
         raise NotNormal(witness=bad[:2])
 
     n = group.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] < 0:
-            cid = len(reps)
-            reps.append(x)
-            for k in kernel.members:
-                coset_of[group.mul(x, k)] = cid
+    coset_of, reps = _cosets(group, kernel.members)
     m = len(reps)
     gen_cosets = _dedupe(coset_of[g] for g in group.generators if coset_of[g] != 0) or [0]
 

@@ -1,6 +1,7 @@
 """Homomorphism and isomorphism enumeration between finite groups.
 
-One backtracking search serves both.  It picks images for a minimal
+One backtracking search serves `iter_homs`, `isomorphism` and the
+radical's stages (`hom_image_lifts`).  It picks images for a minimal
 generating set m1...mk of the domain, each from the codomain elements
 whose order divides the generator's order (equals it, for an
 isomorphism), in lexicographic order.  The walk follows the chain
@@ -12,8 +13,11 @@ edge, and a prefix of images whose map on <m1, ..., mj> is not a
 homomorphism prunes its whole subtree.  A full map whose edges all pass
 is a homomorphism, since every element is a product of the mi, so the
 search is sound and complete; the lexicographic walk makes the output
-order reproducible.  `groups._first_bad_edge` remains the check for a
-map given whole (`Homomorphism.validate`, quotients).
+order reproducible.  The walk only multiplies codomain labels, so it
+runs as well on the cosets of a normal subgroup, which finds the
+homomorphisms into a quotient without building it.
+`groups._first_bad_edge` remains the check for a map given whole
+(`Homomorphism.validate`, quotients).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import config
 from .errors import OrderBudgetExceeded
@@ -226,14 +230,26 @@ def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
     limit = domain_max if domain_max is not None else config.HOM_DOMAIN_MAX
     if domain.order > limit:
         raise OrderBudgetExceeded(limit, "hom enumeration domain")
-    for full in _hom_maps(domain, codomain, bijective=False):
+    orders = codomain.element_orders()
+    for full in _hom_maps(domain, codomain.mul,
+                          lambda m: [y for y, o in enumerate(orders) if m % o == 0]):
         yield _make_hom(domain, codomain, full)
 
 
-def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
-              bijective: bool) -> Iterator[tuple[int, ...]]:
-    """Full maps of the homomorphisms domain -> codomain, or of the bijective
-    ones only, in lexicographic order of the minimal generating set's images.
+def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
+              slot: Callable[[int], list[int]],
+              bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Full maps of the homomorphisms domain -> C, or of the bijective ones
+    only, in the slots' order of the minimal generating set's images.
+
+    What the walk needs from the codomain C: its elements as labels
+    0, 1, ..., with 0 the identity; `mul`, the group product on those
+    labels; and `slot(m)`, the candidate images of a generator of order m,
+    which must include every label whose order divides m (equals m, for a
+    bijection) and may leave out the rest, since those never pass.  A
+    `FiniteGroup` gives its own product and element orders; the cosets of
+    a normal subgroup give the quotient's product without the quotient
+    group being built (`hom_image_lifts`).
 
     A depth-first walk over the generators' slots: the image of m_j runs
     the j-th step list of `_chain_steps` on the map built so far, and the
@@ -244,14 +260,8 @@ def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
     checks, so this is the test that decides.
     """
     mgs = minimal_generating_set(domain)
-    orders = codomain.element_orders()
-    gen_orders = [domain.element_order(g) for g in mgs]
-    if bijective:
-        slots = [[y for y, o in enumerate(orders) if o == m] for m in gen_orders]
-    else:
-        slots = [[y for y, o in enumerate(orders) if m % o == 0] for m in gen_orders]
+    slots = [slot(domain.element_order(g)) for g in mgs]
     levels = _chain_steps(domain, mgs)
-    mul = codomain.mul
     f = [0] * domain.order
     images = [0] * len(mgs)
 
@@ -273,6 +283,38 @@ def _hom_maps(domain: FiniteGroup, codomain: FiniteGroup,
                     yield from walk(j + 1)
 
     yield from walk(0)
+
+
+def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[int],
+                    reps: Sequence[int]) -> Iterator[int]:
+    """For every homomorphism domain -> group/N, a lift to `group` of the
+    image of each minimal generator of the domain, hom by hom.
+
+    N is a normal subgroup given by its coset labels: x lies in coset
+    coset_of[x], whose representative is reps[coset_of[x]], and N is coset
+    0.  The walk of `_hom_maps` runs on the labels with the product
+    coset_of[reps[a] reps[b]], and the slot of a generator of order m holds
+    the cosets r N with r^m in N, so no quotient group is built.  The lifts
+    generate, together with N, the preimage of the subgroup of group/N that
+    the images generate.  Left out of `__all__`: its one caller is
+    `coreflections.radical`.
+    """
+    mul = group.mul
+
+    def slot(m: int) -> list[int]:
+        out = []
+        for c, r in enumerate(reps):
+            y = r
+            for _ in range(m - 1):
+                y = mul(y, r)
+            if coset_of[y] == 0:
+                out.append(c)
+        return out
+
+    mgs = minimal_generating_set(domain)
+    for full in _hom_maps(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slot):
+        for g in mgs:
+            yield reps[full[g]]
 
 
 def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
@@ -345,7 +387,9 @@ def isomorphism(g: FiniteGroup, h: FiniteGroup) -> Homomorphism | None:
         return None
     if g.center_size() != h.center_size():
         return None
-    full = next(_hom_maps(g, h, bijective=True), None)
+    orders = h.element_orders()
+    full = next(_hom_maps(g, h.mul, lambda m: [y for y, o in enumerate(orders) if o == m],
+                          bijective=True), None)
     return None if full is None else _make_hom(g, h, full)
 
 

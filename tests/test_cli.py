@@ -292,10 +292,17 @@ def test_json_index_convention():
      "119692d7e0b0b53dd973a701f7761c4ea9dfe989fe55e51646923a9c80ed29ee"),
     (["iso", "--gen", "s3", "--target", "d6"],
      "b36e803303eed4f3dc5536e44868438099da9a626a9a80c6b3c3c52d59998b44"),
+    (["verify", "--max-order", "16", "--seed", "1"],
+     "4bfbb69e3ff82ef8398bbd60a88c3c4fe99fe3559afff16f424a76e4d0c93fba"),
+    (["radical", "--gen", "z2", "--target", "z16"],
+     "f6ae59a79d9700e602a323ccc13619049c4c1fb07ef9697ef7655911a44ca833"),
+    (["hierarchy", "--gen", "z3", "--target", "s6"],
+     "49fa68c77c73044b852ce92ebacc69530dfad6f44f17ce303357913d3952addb"),
 ])
 def test_hom_reports_are_pinned(argv, digest):
-    # the hom order, the isomorphism witness and the socle's members, end
-    # to end: SHA-256 of the sorted JSON report without its timing
+    # the hom order, the isomorphism witness, the socle's members and the
+    # radical chain's stages, end to end: SHA-256 of the sorted JSON report
+    # without its timing
     code, rep = invoke_json(argv)
     assert code == 0
     rep.pop("timing")

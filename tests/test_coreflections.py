@@ -187,6 +187,61 @@ def test_radical_a5_s5():
     assert chain.length == 1
 
 
+def quotient_radical(spec, target):
+    """Reference chain, built the way the radical used to be: quotient by the
+    current stage, take the socle there, pull it back through the projection."""
+    current = cct.socle(spec, target)
+    stages = [current]
+    while current.order < target.order:
+        qmap = cct.quotient(target, current)
+        upstairs = cct.socle(spec, qmap.target)
+        if upstairs.order == 1:
+            break
+        current = cct.Subgroup(
+            target, [x for x in range(target.order) if qmap.projection[x] in upstairs.members])
+        stages.append(current)
+    return [stage.members for stage in stages]
+
+
+CHAIN_GENERATORS = {"z2": cct.cyclic(2), "z3": cct.cyclic(3), "z4": cct.cyclic(4),
+                    "s3": cct.symmetric(3),
+                    "z2*z3": cct.GeneratorSpec((cct.cyclic(2), cct.cyclic(3)))}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_radical_matches_quotient_built_chain(data):
+    degree = data.draw(st.integers(1, 5))
+    perms = st.permutations(range(degree)).map(tuple)
+    group = cct.from_permutations(data.draw(st.lists(perms, min_size=1, max_size=3)), degree)
+    key = data.draw(st.sampled_from(sorted(CHAIN_GENERATORS)))
+    spec = CHAIN_GENERATORS[key]
+    stages = [stage.members for stage in cct.radical(spec, group).stages]
+    assert stages == quotient_radical(spec, group), key
+
+
+def test_radical_matches_quotient_built_chain_on_catalog(catalog24):
+    for key, spec in CHAIN_GENERATORS.items():
+        for entry in catalog24:
+            stages = [stage.members for stage in cct.radical(spec, entry.group).stages]
+            assert stages == quotient_radical(spec, entry.group), (key, entry.name)
+
+
+def test_radical_is_least_normal_subgroup_with_hom_free_quotient(standard_groups, catalog24):
+    # co-reflectivity: the radical is the intersection of all normal N such
+    # that every hom from the generator into G/N is trivial
+    for entry in catalog24:
+        group = entry.group
+        normal = [sub for sub in cct.all_subgroups(group) if cct.is_normal(group, sub)]
+        for key in GEN_KEYS:
+            gen = standard_groups[key]
+            meet = frozenset(range(group.order))
+            for sub in normal:
+                if cct.socle(gen, cct.quotient(group, sub).target).order == 1:
+                    meet &= sub.members
+            assert meet == cct.radical(gen, group).final.members, (key, entry.name)
+
+
 # ---------------------------------------------------------------------------
 # predicates
 
