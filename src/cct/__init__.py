@@ -66,7 +66,6 @@ from .groups import (
 )
 from .homs import (
     Homomorphism,
-    WordTable,
     enumerate_homs,
     hom_count,
     image,
@@ -79,6 +78,7 @@ from .presentations import (
     CosetTable,
     Presentation,
     Word,
+    WordTable,
     free_product,
     parse_presentation,
     presentation_of,

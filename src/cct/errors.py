@@ -36,15 +36,18 @@ class BudgetExceeded(CctError):
     """Coset enumeration ran out of cosets.
 
     The presented group may be infinite, or the budget too small; a raised
-    BudgetExceeded never means the enumeration closed.
+    BudgetExceeded never means the enumeration closed.  `max_cosets` counts
+    every coset defined; `live` is how many of them were still alive (not
+    merged into another) when the enumeration stopped.
     """
 
-    def __init__(self, max_cosets: int):
+    def __init__(self, max_cosets: int, live: int):
         super().__init__(
-            f"coset enumeration exceeded {max_cosets} cosets; "
+            f"coset enumeration exceeded {max_cosets} cosets ({live} live at abort); "
             "the group may be infinite or the budget too small"
         )
         self.max_cosets = max_cosets
+        self.live = live
 
 
 class NotNormal(CctError):

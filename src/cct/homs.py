@@ -34,7 +34,6 @@ from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _first_bad_edg
 
 __all__ = [
     "Homomorphism",
-    "WordTable",
     "minimal_generating_set",
     "enumerate_homs",
     "iter_homs",
@@ -86,37 +85,6 @@ def _make_hom(domain: FiniteGroup, codomain: FiniteGroup, full: tuple[int, ...])
     return Homomorphism(domain, codomain, tuple(full[g] for g in domain.generators), full)
 
 
-class WordTable:
-    """BFS spanning tree of a group over a chosen generator tuple.
-
-    Element x is reached as parent(x) * gens[edge(x)] in the BFS of
-    `groups._bfs_order`; the induced word for x is therefore the
-    BFS-shortest positive word.
-    """
-
-    def __init__(self, group: FiniteGroup, gens: tuple[int, ...]):
-        self.group = group
-        self.gens = gens
-        order, _, parent, edge = _bfs_order(0, gens, group.mul, group.order + 1)
-        if len(order) != group.order:
-            raise ValueError("generators do not generate the group")
-        self.discovery = order
-        # _bfs_order indexes its tree by discovery position; these by element
-        self.parent = [-1] * group.order
-        self.edge = [-1] * group.order
-        for x, p, e in zip(order[1:], parent[1:], edge[1:]):
-            self.parent[x] = order[p]
-            self.edge[x] = e
-
-    def word(self, x: int) -> tuple[int, ...]:
-        """Generator positions whose product reaches x from the identity."""
-        out: list[int] = []
-        while x != 0:
-            out.append(self.edge[x])
-            x = self.parent[x]
-        return tuple(reversed(out))
-
-
 # One level of the hom search: (target, source, generator position, is a
 # check) steps, then the members of the chain subgroup they complete.
 _Level = tuple[list[tuple[int, int, int, bool]], list[int]]
@@ -146,11 +114,12 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
       or ruled out by the bound.  Only failing combinations are skipped, so
       the first success is unchanged.
     """
-    if group.order > config.order_max():
-        raise OrderBudgetExceeded(config.order_max(), "minimal generating set")
     cached = _MIN_GENS.get(group)
-    if cached is not None:
+    if cached is not None:  # the budget bounds a search, and a cached tuple needs none
         return cached
+    limit = config.order_max()
+    if group.order > limit:
+        raise OrderBudgetExceeded(limit, "minimal generating set")
     result: tuple[int, ...] | None = None
     if group.order == 1:
         result = ()

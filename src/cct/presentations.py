@@ -3,14 +3,19 @@
 Enumeration is plain HLT over the trivial subgroup: live cosets are
 scanned in ascending order, relators in declared order, and a stalled scan
 defines a coset at its leftmost missing slot, so the whole run is
-deterministic.  Coincidences are processed eagerly through a union-find
-that always keeps the lower-numbered coset alive.  One pass leaves every
-row complete and every relator cycle closed, since a coincidence only
-identifies cosets (Holt, Eick & O'Brien, Handbook of Computational Group
-Theory, §5.1).  One exact check confirms it, pushing every coset through
-every relator; a table that fails it raises AssertionError, so a returned
-table has always passed it.  Running out of cosets raises BudgetExceeded
-and never misreports a finite result.
+deterministic.  A generator with a relator s^2 or s^-2 has one table
+column, its own inverse, and the relators are reduced cyclically in those
+columns, so s^2 costs no scan.  Coincidences are processed eagerly through
+a union-find that always keeps the lower-numbered coset alive.  One pass
+leaves every row complete and every relator cycle closed, since a
+coincidence only identifies cosets (Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, §5.1).  One exact check on the original
+relators confirms it, pushing every coset through every relator; a table
+that fails it raises AssertionError, so a returned table has always passed
+it.  The returned table is standardised (§5.1), so its numbering does not
+depend on the order in which cosets were defined.  Running out of cosets
+raises BudgetExceeded, which counts every coset ever defined and reports
+how many were live, and never misreports a finite result.
 """
 
 from __future__ import annotations
@@ -21,13 +26,13 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import BudgetExceeded, ParseError
-from .groups import FiniteGroup, from_permutations
-from .homs import WordTable
+from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose
 
 __all__ = [
     "Word",
     "Presentation",
     "CosetTable",
+    "WordTable",
     "parse_presentation",
     "presentation_of",
     "free_product",
@@ -101,6 +106,37 @@ class CosetTable:
     num_cosets: int
     action: tuple[tuple[int, ...], ...]
     status: str = "closed"
+
+
+class WordTable:
+    """BFS spanning tree of a group over a chosen generator tuple.
+
+    Element x is reached as parent(x) * gens[edge(x)] in the BFS of
+    `groups._bfs_order`; the induced word for x is therefore the
+    BFS-shortest positive word.
+    """
+
+    def __init__(self, group: FiniteGroup, gens: tuple[int, ...]):
+        self.group = group
+        self.gens = gens
+        order, _, parent, edge = _bfs_order(0, gens, group.mul, group.order + 1)
+        if len(order) != group.order:
+            raise ValueError("generators do not generate the group")
+        self.discovery = order
+        # _bfs_order indexes its tree by discovery position; these by element
+        self.parent = [-1] * group.order
+        self.edge = [-1] * group.order
+        for x, p, e in zip(order[1:], parent[1:], edge[1:]):
+            self.parent[x] = order[p]
+            self.edge[x] = e
+
+    def word(self, x: int) -> tuple[int, ...]:
+        """Generator positions whose product reaches x from the identity."""
+        out: list[int] = []
+        while x != 0:
+            out.append(self.edge[x])
+            x = self.parent[x]
+        return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +379,46 @@ def free_product(parts) -> Presentation:
 def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
     """Enumerate cosets of the trivial subgroup (HLT, eager coincidences).
 
-    One HLT pass, closed by one exact check (Handbook §5.1): every live row
-    is complete and every relator is the identity on the compacted table.
+    A generator s with a relator s^2 or s^-2 gets one column, its own
+    inverse; every other generator gets a column for s and one for s^-1.
+    Relators are rewritten in columns and reduced freely and cyclically,
+    so s^2 itself vanishes and costs no scan.  `max_cosets` bounds the
+    cosets ever defined, dead ones included.  One HLT pass, closed by one
+    exact check on the original presentation (Handbook §5.1): every live
+    row is complete and every relator is the identity on the table.  The
+    returned table is standardised: coset 0 first, the others numbered as
+    first reached when the numbered cosets are scanned in order over the
+    columns g1, g1^-1, g2, ...; so it depends only on the presented group
+    and its generator order, not on how the pass ran.
     """
     budget = max_cosets if max_cosets is not None else config.DEFAULT_MAX_COSETS
     if budget < 1:
         raise ValueError("max_cosets must be at least 1")
     k = len(pres.generators)
-    width = 2 * k
-    # letter code: 2*sym for the generator, 2*sym+1 for its inverse
-    relator_codes = [
-        tuple(2 * s if e > 0 else 2 * s + 1 for s, e in rel.letters)
-        for rel in pres.relators
-    ]
+    involutions = {rel.letters[0][0] for rel in pres.relators
+                   if len(rel) == 2 and rel.letters[0] == rel.letters[1]}
+    column: dict[tuple[int, int], int] = {}  # letter (symbol, sign) -> column
+    inv: list[int] = []  # column -> the column of its inverse
+    for s in range(k):
+        c = len(inv)
+        if s in involutions:
+            column[s, 1] = column[s, -1] = c
+            inv.append(c)
+        else:
+            column[s, 1], column[s, -1] = c, c + 1
+            inv += [c + 1, c]
+    width = len(inv)
+    relators = []  # (word, inverse column of each letter), in declared order
+    for rel in pres.relators:
+        word = _cyclically_reduced([column[letter] for letter in rel.letters], inv)
+        if word:
+            relators.append((word, tuple(inv[x] for x in word)))
 
     table: list[list[int | None] | None] = [[None] * width]
     parent = [0]
+
+    def live() -> int:
+        return sum(p == c for c, p in enumerate(parent))
 
     def rep(c: int) -> int:
         root = c
@@ -370,12 +430,12 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
 
     def define(alpha: int, x: int):
         if len(table) >= budget:
-            raise BudgetExceeded(budget)
+            raise BudgetExceeded(budget, live())
         beta = len(table)
         table.append([None] * width)
         parent.append(beta)
         table[alpha][x] = beta
-        table[beta][x ^ 1] = alpha
+        table[beta][inv[x]] = alpha
 
     def merge(a: int, b: int, queue: list[int]):
         a, b = rep(a), rep(b)
@@ -391,19 +451,20 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             for x, delta in enumerate(table[gamma]):
                 if delta is None:
                     continue
-                table[delta][x ^ 1] = None
+                ix = inv[x]
+                table[delta][ix] = None
                 mu, nu = rep(gamma), rep(delta)
                 if table[mu][x] is not None:
                     merge(nu, table[mu][x], queue)
-                elif table[nu][x ^ 1] is not None:
-                    merge(mu, table[nu][x ^ 1], queue)
+                elif table[nu][ix] is not None:
+                    merge(mu, table[nu][ix], queue)
                 else:
                     table[mu][x] = nu
-                    table[nu][x ^ 1] = mu
+                    table[nu][ix] = mu
             # a dead coset's row is never read again once its entries moved
             table[gamma] = None
 
-    def scan_and_fill(alpha: int, word: tuple[int, ...]):
+    def scan_and_fill(alpha: int, word: tuple[int, ...], iword: tuple[int, ...]):
         rows = table
         f, i = alpha, 0
         b, j = alpha, len(word) - 1
@@ -415,7 +476,7 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 if f != b:
                     coincidence(f, b)
                 return
-            while j >= i and (nxt := rows[b][word[j] ^ 1]) is not None:
+            while j >= i and (nxt := rows[b][iword[j]]) is not None:
                 b = nxt
                 j -= 1
             if j < i:
@@ -423,15 +484,15 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 return
             if j == i:
                 rows[f][word[i]] = b
-                rows[b][word[i] ^ 1] = f
+                rows[b][iword[i]] = f
                 return
             define(f, word[i])
 
     alpha = 0
     while alpha < len(table):
         if parent[alpha] == alpha:
-            for word in relator_codes:
-                scan_and_fill(alpha, word)
+            for word, iword in relators:
+                scan_and_fill(alpha, word, iword)
                 if parent[alpha] != alpha:
                     break
             else:  # alpha survived every relator: fill its row
@@ -440,18 +501,41 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                         define(alpha, x)
         alpha += 1
 
-    live = [c for c in range(len(table)) if parent[c] == c]
-    if any(None in table[c] for c in live):
-        raise AssertionError("HLT pass left an incomplete coset table")
+    # standardise (Handbook §5.1): the columns are already g1, g1^-1, g2, ...
+    order = [0]
     pos = [-1] * len(table)
-    for i, c in enumerate(live):
-        pos[c] = i
+    pos[0] = 0
+    for c in order:  # appends while the loop runs
+        row = table[c]
+        if None in row:
+            raise AssertionError("HLT pass left an incomplete coset table")
+        for d in row:
+            if pos[d] < 0:
+                pos[d] = len(order)
+                order.append(d)
+    if len(order) != live():
+        raise AssertionError("HLT pass left a live coset unreachable")
     result = CosetTable(
-        len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
+        len(order), tuple(tuple(pos[table[c][column[s, 1]]] for c in order) for s in range(k))
     )
     if not _closes(result, pres):
         raise AssertionError("HLT pass left a relator unclosed")
     return result
+
+
+def _cyclically_reduced(word: list[int], inv: list[int]) -> tuple[int, ...]:
+    """`word` in columns, reduced freely and then cyclically."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == inv[x]:
+            out.pop()
+        else:
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == inv[out[j]]:
+        i += 1
+        j -= 1
+    return tuple(out[i:j + 1])
 
 
 def _closes(ct: CosetTable, pres: Presentation) -> bool:
@@ -482,11 +566,15 @@ def _closes(ct: CosetTable, pres: Presentation) -> bool:
 def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
     """Realize a finite presented group via its regular action on cosets.
 
-    The stored generators correspond to the presentation's symbols in
-    order, and elements are labelled by their BFS word.
+    `max_cosets` is `todd_coxeter`'s budget, which counts every coset
+    defined.  The group is built straight from the standardised coset
+    table's permutations, with no per-element cycle labels: each element is
+    labelled by its BFS word instead.  The stored generators correspond to
+    the presentation's symbols in order.
     """
     ct = todd_coxeter(pres, max_cosets)
-    group = from_permutations(ct.action, ct.num_cosets)
+    group = _bfs_group(tuple(range(ct.num_cosets)), ct.action, _compose, config.order_max(),
+                       None, "permutation-composition")[0]
     if group.order != ct.num_cosets:
         raise AssertionError("regular action closure disagrees with coset count")
     names = pres.generators

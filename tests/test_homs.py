@@ -146,6 +146,27 @@ def test_minimal_generating_set_of_elementary_abelian_512():
     assert cct.minimal_generating_set(group) == group.generators == tuple(range(1, 10))
 
 
+def test_minimal_generating_set_reads_the_budget_only_for_a_search(monkeypatch):
+    # the budget bounds the search, so a cached tuple is returned without it
+    group = cct.dihedral(10)
+    reads = 0
+
+    def order_max():
+        nonlocal reads
+        reads += 1
+        return 5
+
+    monkeypatch.setattr(cct.config, "order_max", order_max)
+    with pytest.raises(OrderBudgetExceeded, match="order budget 5 exceeded"):
+        cct.minimal_generating_set(group)
+    assert reads == 1
+    monkeypatch.undo()
+    expected = cct.minimal_generating_set(group)
+    monkeypatch.setattr(cct.config, "order_max", order_max)
+    assert cct.minimal_generating_set(group) == expected
+    assert reads == 1
+
+
 # ---------------------------------------------------------------------------
 # enumeration vs oracle
 

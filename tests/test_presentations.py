@@ -146,6 +146,8 @@ def test_todd_coxeter_budget_exceeded():
     with pytest.raises(BudgetExceeded) as exc:
         cct.todd_coxeter(pres, 1000)
     assert exc.value.max_cosets == 1000
+    assert exc.value.live == 867
+    assert "(867 live at abort)" in str(exc.value)
 
 
 def test_todd_coxeter_action_properties():
@@ -233,10 +235,142 @@ def test_realize_generator_symbol_alignment():
 # ---------------------------------------------------------------------------
 # one HLT pass, closed by one exact check
 
+
+def hlt_reference(pres, max_cosets=None):
+    """The enumerator before involutions shared one column and tables were
+    standardised, kept as a reference: two columns per generator, every
+    relator scanned as declared, cosets numbered in definition order."""
+    budget = max_cosets if max_cosets is not None else cct.config.DEFAULT_MAX_COSETS
+    if budget < 1:
+        raise ValueError("max_cosets must be at least 1")
+    k = len(pres.generators)
+    width = 2 * k
+    # letter code: 2*sym for the generator, 2*sym+1 for its inverse
+    relator_codes = [
+        tuple(2 * s if e > 0 else 2 * s + 1 for s, e in rel.letters)
+        for rel in pres.relators
+    ]
+
+    table = [[None] * width]
+    parent = [0]
+
+    def rep(c):
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def define(alpha, x):
+        if len(table) >= budget:
+            raise BudgetExceeded(budget, sum(parent[c] == c for c in range(len(table))))
+        beta = len(table)
+        table.append([None] * width)
+        parent.append(beta)
+        table[alpha][x] = beta
+        table[beta][x ^ 1] = alpha
+
+    def merge(a, b, queue):
+        a, b = rep(a), rep(b)
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            parent[hi] = lo
+            queue.append(hi)
+
+    def coincidence(a, b):
+        queue = []
+        merge(a, b, queue)
+        for gamma in queue:  # merge appends while the loop runs
+            for x, delta in enumerate(table[gamma]):
+                if delta is None:
+                    continue
+                table[delta][x ^ 1] = None
+                mu, nu = rep(gamma), rep(delta)
+                if table[mu][x] is not None:
+                    merge(nu, table[mu][x], queue)
+                elif table[nu][x ^ 1] is not None:
+                    merge(mu, table[nu][x ^ 1], queue)
+                else:
+                    table[mu][x] = nu
+                    table[nu][x ^ 1] = mu
+            # a dead coset's row is never read again once its entries moved
+            table[gamma] = None
+
+    def scan_and_fill(alpha, word):
+        rows = table
+        f, i = alpha, 0
+        b, j = alpha, len(word) - 1
+        while True:
+            while i <= j and (nxt := rows[f][word[i]]) is not None:
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and (nxt := rows[b][word[j] ^ 1]) is not None:
+                b = nxt
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                rows[f][word[i]] = b
+                rows[b][word[i] ^ 1] = f
+                return
+            define(f, word[i])
+
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for word in relator_codes:
+                scan_and_fill(alpha, word)
+                if parent[alpha] != alpha:
+                    break
+            else:  # alpha survived every relator: fill its row
+                for x in range(width):
+                    if table[alpha][x] is None:
+                        define(alpha, x)
+        alpha += 1
+
+    live = [c for c in range(len(table)) if parent[c] == c]
+    if any(None in table[c] for c in live):
+        raise AssertionError("HLT pass left an incomplete coset table")
+    pos = [-1] * len(table)
+    for i, c in enumerate(live):
+        pos[c] = i
+    result = cct.CosetTable(
+        len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
+    )
+    if not cct.presentations._closes(result, pres):
+        raise AssertionError("HLT pass left a relator unclosed")
+    return result
+
+
+def standardise(ct):
+    """Renumber a coset table as Handbook §5.1 does: coset 0 first, the
+    others as first reached when the numbered cosets are scanned in order
+    over g1, g1^-1, g2, g2^-1, ..."""
+    inverse = [[0] * ct.num_cosets for _ in ct.action]
+    for inv, perm in zip(inverse, ct.action):
+        for c, d in enumerate(perm):
+            inv[d] = c
+    order, pos = [0], {0: 0}
+    for c in order:
+        for perm, inv in zip(ct.action, inverse):
+            for d in (perm[c], inv[c]):
+                if d not in pos:
+                    pos[d] = len(order)
+                    order.append(d)
+    return cct.CosetTable(ct.num_cosets,
+                          tuple(tuple(pos[perm[c]] for c in order) for perm in ct.action))
+
+
 # (presentation, cosets, smallest max_cosets that succeeds, SHA-256 of
 # repr(action)), computed with the enumerator that repeated HLT passes until
 # one made no definition, deduction or coincidence, then traced every
-# relator from every coset.
+# relator from every coset; `hlt_reference` reproduces them.
 PINNED_TABLES = [
     ("<a,b | a^2, b^2, (a b)^3>", 6, 8,
      "61dc1828206b53553bfd209bc8f77d56aadec5d152e2354dd0c332baca82ad5a"),
@@ -255,10 +389,10 @@ PINNED_TABLES = [
     ("<a,b | a^2, b^3, (a b)^7, (a^-1 b^-1 a b)^8>", 10752, 272596,
      "b50015847fc58d7eef0e44e2d0c440f6c5c00976bc44a31d4040272a8ab71531"),
 ]
+PINNED_IDS = ["S3", "a4b2", "B23", "A5", "PSL27", "A6", "dic64", "237-8"]
 
 
-@pytest.mark.parametrize("text,cosets,budget,digest", PINNED_TABLES,
-                         ids=["S3", "a4b2", "B23", "A5", "PSL27", "A6", "dic64", "237-8"])
+@pytest.mark.parametrize("text,cosets,budget,digest", PINNED_TABLES, ids=PINNED_IDS)
 def test_todd_coxeter_tables_unchanged(monkeypatch, text, cosets, budget, digest):
     # one HLT pass closes each of these tables, so the closing check runs once
     checks = 0
@@ -271,12 +405,109 @@ def test_todd_coxeter_tables_unchanged(monkeypatch, text, cosets, budget, digest
 
     monkeypatch.setattr(cct.presentations, "_closes", counting)
     pres = cct.parse_presentation(text)
-    ct = cct.todd_coxeter(pres, budget)
+    ct = hlt_reference(pres, budget)
     assert checks == 1
     assert ct.num_cosets == cosets
     assert hashlib.sha256(repr(ct.action).encode()).hexdigest() == digest
     with pytest.raises(BudgetExceeded):
+        hlt_reference(pres, budget - 1)
+
+
+@pytest.mark.parametrize("text", [entry[0] for entry in PINNED_TABLES], ids=PINNED_IDS)
+def test_todd_coxeter_is_standardised_hlt(text):
+    pres = cct.parse_presentation(text)
+    assert cct.todd_coxeter(pres) == standardise(hlt_reference(pres))
+
+
+# smallest max_cosets with which `todd_coxeter` succeeds on each PINNED_TABLES
+# entry: an involution's s^2 costs no column and no scan, so the pass defines
+# fewer cosets than `hlt_reference` does
+PINNED_BUDGETS = [6, 8, 33, 66, 268, 762, 65, 119586]
+
+
+@pytest.mark.parametrize("text,cosets,budget",
+                         [(entry[0], entry[1], budget)
+                          for entry, budget in zip(PINNED_TABLES, PINNED_BUDGETS)],
+                         ids=PINNED_IDS)
+def test_todd_coxeter_budgets_pinned(text, cosets, budget):
+    pres = cct.parse_presentation(text)
+    assert cct.todd_coxeter(pres, budget).num_cosets == cosets
+    with pytest.raises(BudgetExceeded):
         cct.todd_coxeter(pres, budget - 1)
+
+
+def test_conjugated_relator_costs_what_the_relator_costs():
+    # b^-1 (a b)^5 b is reduced cyclically to (a b)^5 before the pass
+    for text in ("<a,b | a^2, b^3, (a b)^5>", "<a,b | a^2, b^3, b^-1 (a b)^5 b>"):
+        pres = cct.parse_presentation(text)
+        assert cct.todd_coxeter(pres, 66).num_cosets == 60
+        with pytest.raises(BudgetExceeded):
+            cct.todd_coxeter(pres, 65)
+
+
+# irreducible finite Coxeter diagrams of rank <= 4 as (rank, {(i, j): m_ij}),
+# unlisted pairs of generators commuting; H4 (order 14400) is left out
+FINITE_COXETER = (
+    [(1, {})]
+    + [(2, {(0, 1): m}) for m in range(3, 9)]  # A2, B2, G2 and I2(m)
+    + [(3, {(0, 1): 3, (1, 2): 3}), (3, {(0, 1): 4, (1, 2): 3}),
+       (3, {(0, 1): 5, (1, 2): 3}),  # A3, B3, H3
+       (4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}), (4, {(0, 1): 4, (1, 2): 3, (2, 3): 3}),
+       (4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}), (4, {(0, 1): 3, (1, 2): 3, (1, 3): 3})]  # A4 B4 F4 D4
+)
+
+
+@st.composite
+def coxeter_presentations(draw):
+    """A finite Coxeter group on <= 4 generators: a disjoint union of
+    irreducible diagrams, generators shuffled, s^2 written either way."""
+    rank, edges, left = 0, {}, 4
+    while left and (not rank or draw(st.booleans())):
+        r, part = draw(st.sampled_from([d for d in FINITE_COXETER if d[0] <= left]))
+        edges.update({(i + rank, j + rank): m for (i, j), m in part.items()})
+        rank, left = rank + r, left - r
+    names = draw(st.permutations([f"s{i}" for i in range(rank)]))
+    rels = [f"{s}^{draw(st.sampled_from([2, -2]))}" for s in names]
+    rels += [f"({names[i]} {names[j]})^{edges.get((i, j), 2)}"
+             for i, j in itertools.combinations(range(rank), 2)]
+    order = draw(st.permutations(rels))
+    return f"< {', '.join(sorted(names))} | {', '.join(order)} >"
+
+
+@st.composite
+def one_involution_presentations(draw):
+    """Two generators, one of them an involution: a spherical triangle group
+    <a, b | a^2, b^n, (a b)^m>, or the group <a, b | a^2, b^n, a b a^-1 b^-k>
+    of order at most 2n; the last relator is perhaps conjugated by b."""
+    a2 = draw(st.sampled_from(["a^2", "a^-2"]))
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from([(2, 2), (2, 5), (3, 2), (3, 3), (3, 4), (3, 5),
+                                     (4, 3), (5, 3), (6, 2), (7, 2)]))
+        rels = [a2, f"b^{n}", f"(a b)^{m}"]
+    else:
+        n = draw(st.integers(1, 12))
+        rels = [a2, f"b^{n}", f"a b a^-1 b^-{draw(st.integers(0, n))}"]
+    if draw(st.booleans()):
+        rels[-1] = f"b^-1 {rels[-1]} b"
+    return f"< a, b | {', '.join(draw(st.permutations(rels)))} >"
+
+
+@st.composite
+def permutation_group_presentations(draw):
+    degree = draw(st.integers(1, 5))
+    perms = st.permutations(range(degree)).map(tuple)
+    gens = draw(st.lists(perms, min_size=1, max_size=3))
+    return cct.presentation_of(cct.from_permutations(gens, degree)).text()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(coxeter_presentations(), one_involution_presentations(),
+                 permutation_group_presentations()))
+def test_todd_coxeter_matches_standardised_hlt(text):
+    pres = cct.parse_presentation(text)
+    ct = cct.todd_coxeter(pres)
+    assert ct == standardise(hlt_reference(pres))
+    assert standardise(ct) == ct
 
 
 def failing_cosets(ct, pres):
