@@ -10,6 +10,7 @@ agree on every catalog entry whose p-torsion fits under the truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -138,21 +139,12 @@ def _partitions(n: int, cap: int | None = None):
 
 def _abelian_types(n: int):
     """Non-cyclic abelian groups of order n as sorted prime-power factor lists."""
-    if n == 1:
-        return
-    per_prime = []
-    for p, e in _prime_factorization(n):
-        per_prime.append([tuple(p**part for part in parts) for parts in _partitions(e)])
-    stack = [((), 0)]
-    while stack:
-        chosen, i = stack.pop()
-        if i == len(per_prime):
-            # cyclic exactly when every prime has a single part (CRT)
-            if any(len(parts) > 1 for parts in chosen):
-                yield tuple(sorted(x for parts in chosen for x in parts))
-            continue
-        for option in reversed(per_prime[i]):
-            stack.append((chosen + (option,), i + 1))
+    per_prime = [[tuple(p**part for part in parts) for parts in _partitions(e)]
+                 for p, e in _prime_factorization(n)]
+    for chosen in itertools.product(*per_prime):
+        # cyclic exactly when every prime has a single part (CRT)
+        if any(len(parts) > 1 for parts in chosen):
+            yield tuple(sorted(x for parts in chosen for x in parts))
 
 
 def _dicyclic_presentation(m: int) -> str:
@@ -303,17 +295,6 @@ def _bounded_orders(group: FiniteGroup, bounds: dict[int, int]) -> dict[int, boo
     return out
 
 
-def _fits_truncation(group: FiniteGroup, bounds: dict[int, int]) -> bool:
-    return all(_bounded_orders(group, bounds).values())
-
-
-def _torsion_generators(group: FiniteGroup, bounds: dict[int, int]) -> list[int]:
-    """Elements of p-power order within the per-prime truncation bound."""
-    within = _bounded_orders(group, bounds)
-    orders = group.element_orders()
-    return [x for x in range(1, group.order) if within.get(orders[x], False)]
-
-
 def socle_equals_radical(gen: GeneratorSpec | FiniteGroup, catalog: Catalog) -> SocleRadicalReport:
     """Per-entry comparison of socle and radical under a generator.
 
@@ -332,12 +313,16 @@ def socle_equals_radical(gen: GeneratorSpec | FiniteGroup, catalog: Catalog) -> 
         precondition: bool | None = None
         torsion_match: bool | None = None
         if bounds is not None:
-            precondition = _fits_truncation(group, bounds)
+            within = _bounded_orders(group, bounds)
+            precondition = all(within.values())
         chain = radical(spec, group)
         soc = chain.stages[0]
         rad = chain.final
         if bounds is not None:
-            torsion = subgroup_generated(group, _torsion_generators(group, bounds))
+            # the elements of p-power order within the per-prime bound
+            orders = group.element_orders()
+            torsion = subgroup_generated(
+                group, [x for x in range(1, group.order) if within.get(orders[x], False)])
             torsion_match = torsion.members == soc.members
         rows.append(SocleRadicalRow(
             name=entry.name,

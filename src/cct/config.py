@@ -14,10 +14,11 @@ import os
 
 ORDER_MAX_DEFAULT = 20000
 
-# Cayley tables ("cayley-table") are stored up to this order, each built
-# from 2 n |gens| products plus n^2 list reads (O(n^2) memory cliff).  A
-# larger group of any construction keeps its raw elements and a hash index:
-# "permutation-composition" for permutation groups, "element-index" else.
+# Up to this order a group's product reads a Cayley table ("cayley-table"),
+# built from 2 n |gens| products plus n^2 list reads (O(n^2) memory cliff).
+# Above it the product multiplies the raw elements and looks the result up
+# in a hash index: "permutation-composition" for permutation groups,
+# "element-index" for the rest, realized presentations included.
 CAYLEY_TABLE_MAX = 4096
 
 SUBGROUP_ENUM_MAX = 128

@@ -6,14 +6,15 @@ generator list (frontier processed FIFO, generators tried in list order).
 Repeated runs therefore number elements identically, which every
 downstream enumeration relies on.
 
-Every group is built by `_bfs_group`.  Up to CAYLEY_TABLE_MAX elements it
-stores a full multiplication table ("cayley-table"), built along the BFS
-tree from one left-multiplication column per generator: 2 n |gens|
-products plus n^2 list reads, in n^2 memory.  Larger groups multiply the
-raw elements they were built from and look the product up in a hash
-index: "permutation-composition" for permutation groups, "element-index"
-for the rest.  A group's elements and table never change after
-construction; the element-order and abelian-flag caches are filled lazily.
+Every group is built by `_bfs_group`, which fixes its product once.  Up
+to CAYLEY_TABLE_MAX elements the product reads a full multiplication table
+("cayley-table"), built along the BFS tree from one left-multiplication
+column per generator: 2 n |gens| products plus n^2 list reads, in n^2
+memory.  Larger groups multiply the raw elements they were built from and
+look the product up in a hash index: "permutation-composition" for
+permutation groups, "element-index" for the rest.  Inverses come from the
+BFS tree by one rule for both.  A group never changes after construction;
+only its element-order and abelian-flag caches are filled lazily.
 """
 
 from __future__ import annotations
@@ -52,39 +53,22 @@ __all__ = [
 
 
 class FiniteGroup:
-    """An immutable finite group on element indices 0..order-1."""
+    """An immutable finite group on element indices 0..order-1.
 
-    def __init__(self, order, mul_table, inv_table, generators, labels=None,
-                 backing="cayley-table", elements=None, index=None, raw_mul=None):
+    A plain record: `mul` is the index-level product and `inv` the inverse
+    lookup that `_bfs_group` chose for the group's backing.
+    """
+
+    def __init__(self, order, mul, inverses, generators, labels, backing):
         self.order = order
+        self.mul = mul
+        self.inv = inverses.__getitem__
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
-        self._table = mul_table
-        self._inv = inv_table
-        self._elements = elements
-        self._index = index
-        self._raw_mul = raw_mul
         self._element_orders: list[int] | None = None
         self._orders_complete = False
         self._abelian: bool | None = None
-        if not self.generators:
-            raise ValueError("generator list must be nonempty")
-        if self.labels is not None and len(self.labels) != order:
-            raise ValueError("label list length must match order")
-
-    def relabelled(self, labels: Sequence[str]) -> "FiniteGroup":
-        """The same group, sharing this one's tables, with new element labels."""
-        return FiniteGroup(self.order, self._table, self._inv, self.generators, labels,
-                           self.backing, self._elements, self._index, self._raw_mul)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
-        return self._index[self._raw_mul(self._elements[a], self._elements[b])]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
 
     def element_order(self, x: int) -> int:
         """Least m >= 1 with x^m = identity; always divides |G|.
@@ -258,17 +242,19 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
 
     Generators keep their list order and duplicates ([] stands for the
     identity); `label`, if given, names each raw element.  Up to
-    CAYLEY_TABLE_MAX elements the Cayley table is built along the BFS tree:
-    if a was first reached as p * g, then x_a x_j = x_p (g x_j), so row a is
-    row p (built before it) read through g's left-multiplication column
-    L_g[j] = pos[g x_j], at n products per generator on a tree edge
-    (2 n |gens| with the BFS) and n^2 list reads.  Above it the group keeps
-    the raw elements, `mul` and the index under the name `backing`, with
-    inverses from the same tree: (p g)^-1 = g^-1 p^-1.
+    CAYLEY_TABLE_MAX elements the group's product is a Cayley table built
+    along the BFS tree: if a was first reached as p * g, then x_a x_j =
+    x_p (g x_j), so row a is row p (built before it) read through g's
+    left-multiplication column L_g[j] = pos[g x_j], at n products per
+    generator on a tree edge (2 n |gens| with the BFS) and n^2 list reads.
+    Above it the product multiplies the raw elements and looks the result
+    up in the index, under the name `backing`.  Either way the inverses
+    come from the same tree, on indices: (p g)^-1 = g^-1 p^-1, with
+    g^-1 = g^(m-1) for m the order of g.
     """
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     n = len(order)
-    gen_idx = [pos[g] for g in gens] or [0]
+    gen_idx = [pos[g] for g in gens]
     labels = [label(x) for x in order] if label is not None else None
     if n <= config.CAYLEY_TABLE_MAX:
         columns: dict[int, list[int]] = {}
@@ -280,18 +266,20 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
                 col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
             row = table[parent[a]]
             table.append([row[k] for k in col])
-        inv = [row.index(0) for row in table]
-        return FiniteGroup(n, table, inv, gen_idx, labels), pos
-    gen_invs = []  # g^-1 = g^(m-1), m the order of g
-    for g in gens:
+        index_mul = lambda a, b: table[a][b]
+        backing = "cayley-table"
+    else:
+        index_mul = lambda a, b: pos[mul(order[a], order[b])]
+    gen_invs = []
+    for g in gen_idx:
         y = g
-        while (z := mul(y, g)) != identity:
+        while (z := index_mul(y, g)) != 0:
             y = z
         gen_invs.append(y)
     inv = [0]
     for a in range(1, n):
-        inv.append(pos[mul(gen_invs[edge[a]], order[inv[parent[a]]])])
-    return FiniteGroup(n, None, inv, gen_idx, labels, backing, order, pos, mul), pos
+        inv.append(index_mul(gen_invs[edge[a]], inv[parent[a]]))
+    return FiniteGroup(n, index_mul, inv, gen_idx or [0], labels, backing), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],

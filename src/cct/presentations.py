@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import BudgetExceeded, ParseError
-from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose
+from .groups import FiniteGroup, _bfs_group, _bfs_order
 
 __all__ = [
     "Word",
@@ -567,26 +567,32 @@ def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
     """Realize a finite presented group via its regular action on cosets.
 
     `max_cosets` is `todd_coxeter`'s budget, which counts every coset
-    defined.  The group is built straight from the standardised coset
-    table's permutations, with no per-element cycle labels: each element is
-    labelled by its BFS word instead.  The stored generators correspond to
-    the presentation's symbols in order.
+    defined.  The coset table of the trivial subgroup is the regular
+    action, so each element is its coset, the image of coset 0 (Handbook
+    §5.1).  A BFS over the table's columns reaches the cosets in the order
+    `_bfs_group` gives the elements and records each coset's generator
+    path; the coset of x y is y's path followed from x's coset.  Each
+    element is labelled by its path, the generator names joined by "" when
+    all are one letter and by "*" otherwise, "1" for the identity.  The
+    stored generators correspond to the presentation's symbols in order.
     """
     ct = todd_coxeter(pres, max_cosets)
-    group = _bfs_group(tuple(range(ct.num_cosets)), ct.action, _compose, config.order_max(),
-                       None, "permutation-composition")[0]
+    action = ct.action
+    order, _, parent, edge = _bfs_order(0, range(len(action)), lambda c, s: action[s][c],
+                                        ct.num_cosets + 1)
+    paths = [()] * ct.num_cosets  # coset -> generator symbols that reach it from 0
+    for c, p, s in zip(order[1:], parent[1:], edge[1:]):
+        paths[c] = paths[order[p]] + (s,)
+
+    def follow(x: int, y: int) -> int:
+        for s in paths[y]:
+            x = action[s][x]
+        return x
+
+    names = pres.generators
+    sep = "" if all(len(name) == 1 for name in names) else "*"
+    group = _bfs_group(0, [perm[0] for perm in action], follow, config.order_max(),
+                       lambda c: sep.join(names[s] for s in paths[c]) or "1")[0]
     if group.order != ct.num_cosets:
         raise AssertionError("regular action closure disagrees with coset count")
-    names = pres.generators
-    table = WordTable(group, group.generators)
-    single = all(len(n) == 1 for n in names)
-    labels = []
-    for x in range(group.order):
-        word = table.word(x)
-        if not word:
-            labels.append("1")
-        elif single:
-            labels.append("".join(names[p] for p in word))
-        else:
-            labels.append("*".join(names[p] for p in word))
-    return group.relabelled(labels)
+    return group

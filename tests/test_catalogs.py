@@ -389,7 +389,7 @@ def test_all_subgroups_matches_brute_force_on_random_groups(data):
     assert [sub.members for sub in cct.all_subgroups(group)] == _oracle_subgroups(group)
 
 
-def test_truncation_checks_factor_each_distinct_order_once(monkeypatch):
+def test_truncation_survey_factors_each_distinct_order_once(monkeypatch):
     calls = 0
     prime_power = cct.catalogs._prime_power
 
@@ -399,12 +399,13 @@ def test_truncation_checks_factor_each_distinct_order_once(monkeypatch):
         return prime_power(n)
 
     monkeypatch.setattr(cct.catalogs, "_prime_power", counting)
+    spec = cct.GeneratorSpec((cct.cyclic(2), cct.cyclic(4), cct.cyclic(3)))
     group = cct.direct_product(cct.dihedral(16), cct.cyclic(3))
     distinct = len(set(group.element_orders()))
-    bounds = {2: 4, 3: 3}
-    assert not cct.catalogs._fits_truncation(group, bounds)
-    assert calls == distinct
-    torsion = cct.catalogs._torsion_generators(group, bounds)
-    assert calls == 2 * distinct
-    assert torsion == [x for x in range(1, group.order)
-                       if group.element_order(x) in (2, 3, 4)]
+    report = cct.socle_equals_radical(spec, Catalog([CatalogEntry("d16xz3", group, "")]))
+    assert calls == len(spec.factors) + distinct
+    row, = report.rows
+    assert row.precondition_ok is False  # D16 has elements of order 8 > 4
+    torsion = cct.subgroup_generated(
+        group, [x for x in range(1, group.order) if group.element_order(x) in (2, 3, 4)])
+    assert row.torsion_match == (torsion.members == cct.socle(spec, group).members)

@@ -567,3 +567,23 @@ def test_realize_presentation_of_is_isomorphic(data):
     realized = cct.realize(pres)
     assert cct.isomorphic(realized, group)
     assert all(evaluate(realized, rel) == 0 for rel in pres.relators)
+
+
+@pytest.mark.parametrize("text, sep", [
+    ("<a,b | a^2, b^3, (a b)^5>", ""),
+    ("<s1, s2, s3 | s1^2, s2^2, s3^2, (s1 s2)^3, (s2 s3)^3, (s1 s3)^2>", "*"),
+])
+def test_realize_labels_are_the_bfs_words(text, sep):
+    pres = cct.parse_presentation(text)
+    g = cct.realize(pres)
+    table = cct.WordTable(g, g.generators)
+    words = [sep.join(pres.generators[p] for p in table.word(x)) or "1" for x in range(g.order)]
+    assert [g.label(x) for x in range(g.order)] == words
+    assert g.label(0) == "1" and g.label(g.generators[1]) == pres.generators[1]
+
+
+def test_realize_above_the_table_cap():
+    g = cct.realize(cct.parse_presentation("<a, b | a^2, b^3, (a b)^7, (a^-1 b^-1 a b)^8>"))
+    assert g.order == 10752 > cct.config.CAYLEY_TABLE_MAX
+    assert g.backing == "element-index"
+    assert all(g.mul(x, g.inv(x)) == 0 == g.mul(g.inv(x), x) for x in range(g.order))

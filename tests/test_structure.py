@@ -63,13 +63,12 @@ def name_of(node):
 
 def test_one_constructor_builds_every_group():
     """Only `groups._bfs_group` numbers elements and picks the backing, so
-    only it (and `relabelled`, which shares an existing group's tables)
-    calls FiniteGroup(...), and only it reads the table cap."""
+    only it calls FiniteGroup(...), and only it reads the table cap."""
     calls, cap_reads = [], []
     for path in sorted(SRC.glob("*.py")):
         calls += nodes_outside(
             path, lambda n: isinstance(n, ast.Call) and name_of(n.func) == "FiniteGroup",
-            {"_bfs_group", "FiniteGroup.relabelled"})
+            {"_bfs_group"})
         cap_reads += nodes_outside(
             path, lambda n: name_of(n) == "CAYLEY_TABLE_MAX" and isinstance(n.ctx, ast.Load),
             {"_bfs_group"})
