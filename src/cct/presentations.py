@@ -5,17 +5,20 @@ scanned in ascending order, relators in declared order, and a stalled scan
 defines a coset at its leftmost missing slot, so the whole run is
 deterministic.  A generator with a relator s^2 or s^-2 has one table
 column, its own inverse, and the relators are reduced cyclically in those
-columns, so s^2 costs no scan.  Coincidences are processed eagerly through
-a union-find that always keeps the lower-numbered coset alive.  One pass
-leaves every row complete and every relator cycle closed, since a
-coincidence only identifies cosets (Holt, Eick & O'Brien, Handbook of
-Computational Group Theory, §5.1).  One exact check on the original
-relators confirms it, pushing every coset through every relator; a table
-that fails it raises AssertionError, so a returned table has always passed
-it.  The returned table is standardised (§5.1), so its numbering does not
-depend on the order in which cosets were defined.  Running out of cosets
-raises BudgetExceeded, which counts every coset ever defined and reports
-how many were live, and never misreports a finite result.
+columns, so s^2 costs no scan.  A relator that is a rotation of itself or
+of its inverse is not scanned at a coset where that rotation shows it
+already closed at a smaller one, a scan that would change nothing.
+Coincidences are processed eagerly through a union-find that always keeps
+the lower-numbered coset alive.  One pass leaves every row complete and
+every relator cycle closed, since a coincidence only identifies cosets
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, §5.1).  One
+exact check on the original relators confirms it, pushing every coset
+through every relator; a table that fails it raises AssertionError, so a
+returned table has always passed it.  The returned table is standardised
+(§5.1), so its numbering does not depend on the order in which cosets were
+defined.  Running out of cosets raises BudgetExceeded, which counts every
+coset ever defined and reports how many were live, and never misreports a
+finite result.
 """
 
 from __future__ import annotations
@@ -382,7 +385,13 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     A generator s with a relator s^2 or s^-2 gets one column, its own
     inverse; every other generator gets a column for s and one for s^-1.
     Relators are rewritten in columns and reduced freely and cyclically,
-    so s^2 itself vanishes and costs no scan.  `max_cosets` bounds the
+    so s^2 itself vanishes and costs no scan.  A relator that is a rotation
+    of itself or of its inverse, such as (s t)^m over involutions or a^n,
+    closes at a coset exactly when it closes where a short column path
+    from there leads (`_skip_paths`); if that path reaches a smaller coset,
+    which was scanned before and stays closed, the scan would change
+    nothing and is skipped.  So the cosets defined, their order and the
+    budgets are those of scanning every relator.  `max_cosets` bounds the
     cosets ever defined, dead ones included.  One HLT pass, closed by one
     exact check on the original presentation (Handbook §5.1): every live
     row is complete and every relator is the identity on the table.  The
@@ -408,11 +417,12 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             column[s, 1], column[s, -1] = c, c + 1
             inv += [c + 1, c]
     width = len(inv)
-    relators = []  # (word, inverse column of each letter), in declared order
+    relators = []  # (word, inverse column of each letter, skip paths), in declared order
     for rel in pres.relators:
         word = _cyclically_reduced([column[letter] for letter in rel.letters], inv)
         if word:
-            relators.append((word, tuple(inv[x] for x in word)))
+            iword = tuple(inv[x] for x in word)
+            relators.append((word, iword, _skip_paths(word, iword)))
 
     table: list[list[int | None] | None] = [[None] * width]
     parent = [0]
@@ -491,10 +501,20 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     alpha = 0
     while alpha < len(table):
         if parent[alpha] == alpha:
-            for word, iword in relators:
-                scan_and_fill(alpha, word, iword)
-                if parent[alpha] != alpha:
-                    break
+            for word, iword, paths in relators:
+                for path in paths:  # none unless the relator has a turn
+                    c = alpha
+                    for x in path:
+                        c = table[c][x]
+                        if c is None:
+                            break
+                    else:
+                        if c < alpha:  # closed at c, scanned before alpha, so closed here
+                            break
+                else:  # no path reached a smaller coset
+                    scan_and_fill(alpha, word, iword)
+                    if parent[alpha] != alpha:
+                        break
             else:  # alpha survived every relator: fill its row
                 for x in range(width):
                     if table[alpha][x] is None:
@@ -536,6 +556,24 @@ def _cyclically_reduced(word: list[int], inv: list[int]) -> tuple[int, ...]:
         i += 1
         j -= 1
     return tuple(out[i:j + 1])
+
+
+def _skip_paths(word: tuple[int, ...], iword: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Column paths from a coset α to cosets where `word` closes iff it closes at α.
+
+    A turn of `word` is a q with 0 < q < len(word) such that word[q:] +
+    word[:q] is `word` or its inverse.  For a turn q, `word` closes at α
+    exactly when it closes at α·word[:q], and exactly when it closes at the
+    coset that word[q:] carries to α.  The paths are word[:q] for the least
+    turn and (word[q:])^-1 for the greatest; they can differ in length, as
+    for (a^-1 b^-1 a b)^4 with a an involution.  No paths if `word` has no
+    turn.
+    """
+    inverse = iword[::-1]
+    turns = [q for q in range(1, len(word)) if word[q:] + word[:q] in (word, inverse)]
+    if not turns:
+        return ()
+    return word[:turns[0]], iword[turns[-1]:][::-1]
 
 
 def _closes(ct: CosetTable, pres: Presentation) -> bool:

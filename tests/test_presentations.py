@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -457,6 +458,38 @@ FINITE_COXETER = (
 )
 
 
+def coxeter_text(rank, edges):
+    """<s1, ..., s_rank | s_i^2, (s_i s_j)^m_ij>, relators in the natural order."""
+    names = [f"s{i + 1}" for i in range(rank)]
+    rels = [f"{s}^2" for s in names]
+    rels += [f"({names[i]} {names[j]})^{edges.get((i, j), 2)}"
+             for i, j in itertools.combinations(range(rank), 2)]
+    return f"< {', '.join(names)} | {', '.join(rels)} >"
+
+
+# (presentation, cosets, smallest max_cosets that succeeds, cosets live when
+# the budget one below it runs out) for presentations with relators that are
+# a rotation of themselves or of their inverse
+PINNED_SYMMETRIC = [
+    (coxeter_text(*FINITE_COXETER[9]), 120, 120, 119),
+    (coxeter_text(*FINITE_COXETER[11]), 384, 415, 386),
+    (coxeter_text(*FINITE_COXETER[12]), 1152, 1200, 1156),
+    (coxeter_text(*FINITE_COXETER[13]), 192, 192, 191),
+    ("<a,b | a^2, b^3, (a b)^7, (a^-1 b^-1 a b)^4>", 168, 268, 191),
+    ("<a,b | a^7, b^3, b^-1 a b a^-2>", 21, 27, 26),
+]
+
+
+@pytest.mark.parametrize("text,cosets,budget,live", PINNED_SYMMETRIC,
+                         ids=["H3", "B4", "F4", "D4", "PSL27", "7:3"])
+def test_symmetric_relator_budgets_pinned(text, cosets, budget, live):
+    pres = cct.parse_presentation(text)
+    assert cct.todd_coxeter(pres, budget).num_cosets == cosets
+    with pytest.raises(BudgetExceeded) as exc:
+        cct.todd_coxeter(pres, budget - 1)
+    assert exc.value.live == live
+
+
 @st.composite
 def coxeter_presentations(draw):
     """A finite Coxeter group on <= 4 generators: a disjoint union of
@@ -493,6 +526,30 @@ def one_involution_presentations(draw):
 
 
 @st.composite
+def rotation_symmetric_presentations(draw):
+    """Relators that are rotations of themselves or of their inverse, with
+    uneven turns or turns only into the inverse: quotients
+    <a, b | a^2, b^3, (a b)^n, (a^-1 b^-1 a b)^k> of the triangle groups with
+    n <= 5, where the commutator power turns at 1, 4, 5, ... and, for k = 1,
+    only into its inverse; or powers of letters that are not involutions, in
+    <a, b | a^n, b^m, (a b^j)^2> with j prime to m and 1/n + 1/m > 1/2, or
+    in the metacyclic <a, b | a^n, b^m, b^-1 a b a^-r> with r^m = 1 mod n."""
+    kind = draw(st.sampled_from(["commutator", "triangle", "metacyclic"]))
+    if kind == "commutator":
+        rels = [draw(st.sampled_from(["a^2", "a^-2"])), "b^3",
+                f"(a b)^{draw(st.integers(1, 5))}", f"(a^-1 b^-1 a b)^{draw(st.integers(1, 4))}"]
+    elif kind == "triangle":
+        n, m = draw(st.sampled_from([(3, 3), (3, 4), (4, 3), (3, 5), (5, 3)]))
+        j = draw(st.sampled_from([j for j in range(1 - m, m) if math.gcd(j, m) == 1]))
+        rels = [f"a^{n}", f"b^{m}", f"(a b^{j})^2"]
+    else:
+        n, m = draw(st.integers(3, 13)), draw(st.integers(2, 6))
+        r = draw(st.sampled_from([r for r in range(1, n) if pow(r, m, n) == 1]))
+        rels = [f"a^{n}", f"b^{m}", f"b^-1 a b a^-{r}"]
+    return f"< a, b | {', '.join(draw(st.permutations(rels)))} >"
+
+
+@st.composite
 def permutation_group_presentations(draw):
     degree = draw(st.integers(1, 5))
     perms = st.permutations(range(degree)).map(tuple)
@@ -502,7 +559,7 @@ def permutation_group_presentations(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(coxeter_presentations(), one_involution_presentations(),
-                 permutation_group_presentations()))
+                 rotation_symmetric_presentations(), permutation_group_presentations()))
 def test_todd_coxeter_matches_standardised_hlt(text):
     pres = cct.parse_presentation(text)
     ct = cct.todd_coxeter(pres)
