@@ -9,8 +9,8 @@ downstream enumeration relies on.
 Every group is built by `_bfs_group`, which fixes its product once.  Up
 to CAYLEY_TABLE_MAX elements the product reads a full multiplication table
 ("cayley-table"), built along the BFS tree from one left-multiplication
-column per generator: 2 n |gens| products plus n^2 list reads, in n^2
-memory.  Larger groups multiply the raw elements they were built from and
+column per generator: 2 n |gens| products plus one `_compose` per row, in
+n^2 memory.  Larger groups multiply the raw elements they were built from and
 look the product up in a hash index: "permutation-composition" for
 permutation groups, "element-index" for the rest.  Inverses come from the
 BFS tree by one rule for both.  A group never changes after construction;
@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import config
@@ -203,9 +205,19 @@ class QuotientMap:
 # construction helpers
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # "p then q": (p*q)(i) = q(p(i)), matching right actions on cosets.
-    return tuple(q[i] for i in p)
+def _compose(p: Sequence[int], q) -> tuple[int, ...]:
+    """The tuple of q[p[i]] for each i: "p then q", (p*q)(i) = q(p(i)),
+    matching right actions on cosets.
+
+    The one kernel that reads a whole sequence through another: permutation
+    products, Cayley-table rows, `from_cayley`'s associativity rows and the
+    coset-list passes of coset enumeration.  `itemgetter` does the reads in
+    C; of one index it returns the bare item and of none it raises, so
+    `len(p) <= 1` is answered directly.
+    """
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    return (q[p[0]],) if p else ()
 
 
 def _bfs_order(identity, gens: Sequence, mul: Callable,
@@ -246,7 +258,8 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     along the BFS tree: if a was first reached as p * g, then x_a x_j =
     x_p (g x_j), so row a is row p (built before it) read through g's
     left-multiplication column L_g[j] = pos[g x_j], at n products per
-    generator on a tree edge (2 n |gens| with the BFS) and n^2 list reads.
+    generator on a tree edge (2 n |gens| with the BFS) and one `_compose`
+    per row, a tuple of exactly n entries.
     Above it the product multiplies the raw elements and looks the result
     up in the index, under the name `backing`.  Either way the inverses
     come from the same tree, on indices: (p g)^-1 = g^-1 p^-1, with
@@ -258,14 +271,13 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     labels = [label(x) for x in order] if label is not None else None
     if n <= config.CAYLEY_TABLE_MAX:
         columns: dict[int, list[int]] = {}
-        table = [list(range(n))]
+        table = [tuple(range(n))]
         for a in range(1, n):
             col = columns.get(edge[a])
             if col is None:
                 g = gens[edge[a]]
                 col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
-            row = table[parent[a]]
-            table.append([row[k] for k in col])
+            table.append(_compose(col, table[parent[a]]))
         index_mul = lambda a, b: table[a][b]
         backing = "cayley-table"
     else:
@@ -304,19 +316,23 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     without an inverse, or None when no identity exists.  Associativity is
     Light's test over a generating set: the elements g with (ag)c = a(gc)
     for all a, c are closed under products, so checking the generators
-    checks every element, in O(n^2) per generator.
+    checks every element, in O(n^2) per generator.  The whole-row passes
+    run in C: the entry check by `isinstance`, `min` and `max` per row (an
+    entry-by-entry loop only names the bad entry), the inverse search by
+    `row.index` over the identities in x's row, and Light's test as one
+    `_compose(row_g, row_a)` per pair (g, a), the row of a(gc) over all c.
     """
     n = len(table)
     if n == 0:
         raise ValueError("table must be nonempty")
     rows = []
     for i, row in enumerate(table):
-        row = list(row)
+        row = tuple(row)
         if len(row) != n:
             raise ValueError(f"table is not square at row {i}")
-        for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise ValueError(f"table entry {x!r} out of range at row {i}")
+        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
+            bad = next(x for x in row if not isinstance(x, int) or not 0 <= x < n)
+            raise ValueError(f"table entry {bad!r} out of range at row {i}")
         rows.append(row)
 
     identity = None
@@ -327,9 +343,14 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     if identity is None:
         raise NotAGroup("no identity element")
 
-    for x in range(n):
-        if not any(rows[x][y] == identity and rows[y][x] == identity for y in range(n)):
-            raise NotAGroup("element has no two-sided inverse", witness=x)
+    for x, row in enumerate(rows):
+        # the y with x y = identity, in turn, until one has y x = identity too
+        y = -1
+        try:
+            while rows[y := row.index(identity, y + 1)][x] != identity:
+                pass
+        except ValueError:
+            raise NotAGroup("element has no two-sided inverse", witness=x) from None
 
     # greedy generators, each closed by BFS, since Dimino's coset step
     # would assume the axioms still unchecked
@@ -342,10 +363,9 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
             reached = set(_bfs_order(identity, gens, mul, n + 1)[0])
     for g in gens:
         row_g = rows[g]
-        for a in range(n):
-            row_a = rows[a]
+        for a, row_a in enumerate(rows):
             left = rows[row_a[g]]
-            right = [row_a[x] for x in row_g]
+            right = _compose(row_g, row_a)
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
                 raise NotAGroup("multiplication is not associative", witness=(a, g, c))
@@ -372,7 +392,7 @@ def cycle_notation(perm: Sequence[int]) -> str:
 
 def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int, one_based: bool = True) -> tuple[int, ...]:
     """Permutation tuple from cycles, composed left to right."""
-    result = list(range(degree))
+    result = tuple(range(degree))
     for cycle in cycles:
         points = [p - 1 for p in cycle] if one_based else list(cycle)
         mapping = list(range(degree))
@@ -380,8 +400,8 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int, one_based: bo
             if not 0 <= p < degree:
                 raise ValueError(f"cycle point {p + one_based} out of range for degree {degree}")
             mapping[p] = points[(i + 1) % len(points)]
-        result = [mapping[result[i]] for i in range(degree)]
-    return tuple(result)
+        result = _compose(result, mapping)
+    return result
 
 
 def from_permutations(gens: Sequence[Sequence[int]], degree: int,
@@ -704,7 +724,6 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     if bad is not None:
         raise NotNormal(witness=bad[:2])
 
-    n = group.order
     coset_of, reps = _cosets(group, kernel.members)
     m = len(reps)
     gen_cosets = _dedupe(coset_of[g] for g in group.generators if coset_of[g] != 0) or [0]
@@ -715,7 +734,7 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     target, pos = _bfs_group(0, gen_cosets, mul, m + 1, lambda c: group.label(reps[c]))
     if target.order != m:
         raise AssertionError("generator images fail to generate the quotient")
-    projection = tuple(pos[coset_of[x]] for x in range(n))
+    projection = _compose(coset_of, pos)
 
     bad = _first_bad_edge(group, target, projection)
     if bad is not None:

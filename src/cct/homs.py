@@ -29,8 +29,9 @@ from typing import Callable, Iterator, Sequence
 
 from . import config
 from .errors import OrderBudgetExceeded
-from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _first_bad_edge,
-                     _prime_factorization, normal_closure, subgroup_generated)
+from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose,
+                     _first_bad_edge, _prime_factorization, normal_closure,
+                     subgroup_generated)
 
 __all__ = [
     "Homomorphism",
@@ -60,7 +61,7 @@ class Homomorphism:
         """Composite homomorphism: first self, then other."""
         if other.domain is not self.codomain:
             raise ValueError("composition mismatch: other.domain must be self.codomain")
-        full = tuple(other.full_map[y] for y in self.full_map)
+        full = _compose(self.full_map, other.full_map)
         return _make_hom(self.domain, other.codomain, full)
 
     def is_surjective(self) -> bool:
@@ -74,7 +75,7 @@ class Homomorphism:
         f = self.full_map
         if f[0] != 0:
             raise AssertionError("identity not mapped to identity")
-        if self.gen_images != tuple(f[g] for g in self.domain.generators):
+        if self.gen_images != _compose(self.domain.generators, f):
             raise AssertionError("gen_images inconsistent with full_map")
         bad = _first_bad_edge(self.domain, self.codomain, f)
         if bad is not None:
@@ -82,7 +83,7 @@ class Homomorphism:
 
 
 def _make_hom(domain: FiniteGroup, codomain: FiniteGroup, full: tuple[int, ...]) -> Homomorphism:
-    return Homomorphism(domain, codomain, tuple(full[g] for g in domain.generators), full)
+    return Homomorphism(domain, codomain, _compose(domain.generators, full), full)
 
 
 # One level of the hom search: (target, source, generator position, is a

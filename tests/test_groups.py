@@ -5,7 +5,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cct
@@ -168,6 +168,96 @@ def test_from_cayley_rejects_malformed():
         cct.from_cayley([[0, 1], [1]])
     with pytest.raises(ValueError):
         cct.from_cayley([[0, 7], [1, 0]])
+
+
+@pytest.mark.parametrize("table, message", [
+    ([[0, 1.0], [1, 0]], "table entry 1.0 out of range at row 0"),
+    ([[0, 1], [1, -1]], "table entry -1 out of range at row 1"),
+    ([[0, 1], [2, 0]], "table entry 2 out of range at row 1"),
+    ([[0, 1, 2], [1, 2, 0], [2, 5, 1.0]], "table entry 5 out of range at row 2"),
+])
+def test_from_cayley_names_the_first_bad_entry(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cct.from_cayley(table)
+
+
+def test_from_cayley_accepts_bool_entries():
+    g = cct.from_cayley([[0, True], [True, 0]])
+    assert g.order == 2 and g.mul(1, 1) == 0
+
+
+def brute_identity(table):
+    """Oracle: the two-sided identity of a magma, or None."""
+    n = len(table)
+    return next((e for e in range(n)
+                 if all(table[e][x] == x == table[x][e] for x in range(n))), None)
+
+
+def has_two_sided_inverse(table, e, x):
+    return any(table[x][y] == e == table[y][x] for y in range(len(table)))
+
+
+@st.composite
+def magmas(draw):
+    """Tables of order <= 6: arbitrary, with an identity planted, or a
+    relabelled group table; then a few entries changed, and perhaps an
+    element x given two right inverses y1 < y2 of which only y2 is also a
+    left inverse, so the identity appears twice in row x."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["arbitrary", "unital", "group"]))
+    if kind == "group":
+        base = cayley_table({4: cct.abelian([2, 2]), 6: cct.symmetric(3)}.get(n) or cct.cyclic(n))
+        pi = draw(st.permutations(range(n)))
+        table = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                table[pi[a]][pi[b]] = pi[base[a][b]]
+        e = pi[0]
+    else:
+        table = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        e = draw(entries)
+        if kind == "unital":
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(entries)][draw(entries)] = draw(entries)
+    others = [x for x in range(n) if x != e]
+    if kind != "arbitrary" and len(others) >= 3 and draw(st.booleans()):
+        x, y1, y2 = draw(st.permutations(others))[:3]
+        y1, y2 = sorted((y1, y2))
+        table[x][y1] = table[x][y2] = table[y2][x] = e
+        table[y1][x] = draw(st.sampled_from(others))
+    return table
+
+
+@settings(max_examples=300)
+@example([[0, 1, 2, 3],
+          [1, 2, 0, 0],  # 1 * 2 = 0 but 2 * 1 = 3; 1 * 3 = 0 = 3 * 1
+          [2, 3, 0, 1],
+          [3, 0, 1, 2]])
+@given(magmas())
+def test_from_cayley_matches_brute_force_on_magmas(table):
+    n = len(table)
+    e = brute_identity(table)
+    try:
+        group = cct.from_cayley(table)
+    except NotAGroup as exc:
+        w = exc.witness
+        if w is None:
+            assert e is None
+            return
+        assert e is not None
+        if isinstance(w, int):
+            assert not has_two_sided_inverse(table, e, w)
+            assert all(has_two_sided_inverse(table, e, x) for x in range(w))
+        else:
+            assert all(has_two_sided_inverse(table, e, x) for x in range(n))
+            a, g, c = w
+            assert table[table[a][g]][c] != table[a][table[g][c]]
+        return
+    assert group.order == n
+    assert is_group_table(table)
 
 
 # ---------------------------------------------------------------------------
@@ -705,3 +795,26 @@ def test_from_permutations_composes_only_along_the_tree(monkeypatch):
     a7 = cct.alternating(7)
     assert a7.order == 2520 and a7.backing == "cayley-table"
     assert calls <= 4 * a7.order * len(a7.generators)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_compose_reads_q_through_p(length):
+    q = (3, 6, 0, 5, 1, 4, 2)
+    p = (4, 0, 6, 2, 5, 1, 3)[:length]
+    r = cct.groups._compose(p, q)
+    assert type(r) is tuple and len(r) == length
+    assert list(r) == [q[i] for i in p]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cct.symmetric(1),
+    lambda: cct.from_permutations([(0,)], 1),
+    lambda: cct.from_cayley([[0]]),
+    lambda: cct.realize(cct.parse_presentation("<a, b | a, b>")),
+], ids=["symmetric", "from_permutations", "from_cayley", "realize"])
+def test_order_one_constructions_work(build):
+    g = build()
+    assert g.order == 1 and set(g.generators) == {0}
+    assert g.mul(0, 0) == 0 and g.inv(0) == 0
+    assert g.element_orders() == [1]
+    assert [s.members for s in cct.all_subgroups(g)] == [frozenset({0})]

@@ -142,6 +142,11 @@ def test_todd_coxeter_cyclic(n):
     assert ct.num_cosets == n
 
 
+def test_todd_coxeter_trivial_group():
+    ct = cct.todd_coxeter(cct.parse_presentation("<a | a>"))
+    assert ct.num_cosets == 1 and ct.action == ((0,),)
+
+
 def test_todd_coxeter_budget_exceeded():
     pres = cct.parse_presentation("<a,b | a b a^-1 b^-1>")
     with pytest.raises(BudgetExceeded) as exc:
@@ -344,7 +349,9 @@ def hlt_reference(pres, max_cosets=None):
     result = cct.CosetTable(
         len(live), tuple(tuple(pos[table[c][2 * s]] for c in live) for s in range(k))
     )
-    if not cct.presentations._closes(result, pres):
+    if any(sorted(perm) != list(range(len(live))) for perm in result.action):
+        raise AssertionError("coset action is not a permutation")
+    if failing_cosets(result, pres):
         raise AssertionError("HLT pass left a relator unclosed")
     return result
 
@@ -397,14 +404,14 @@ PINNED_IDS = ["S3", "a4b2", "B23", "A5", "PSL27", "A6", "dic64", "237-8"]
 def test_todd_coxeter_tables_unchanged(monkeypatch, text, cosets, budget, digest):
     # one HLT pass closes each of these tables, so the closing check runs once
     checks = 0
-    check = cct.presentations._closes
+    check = failing_cosets
 
     def counting(ct, pres):
         nonlocal checks
         checks += 1
         return check(ct, pres)
 
-    monkeypatch.setattr(cct.presentations, "_closes", counting)
+    monkeypatch.setitem(globals(), "failing_cosets", counting)
     pres = cct.parse_presentation(text)
     ct = hlt_reference(pres, budget)
     assert checks == 1
@@ -561,8 +568,11 @@ def permutation_group_presentations(draw):
 @given(st.one_of(coxeter_presentations(), one_involution_presentations(),
                  rotation_symmetric_presentations(), permutation_group_presentations()))
 def test_todd_coxeter_matches_standardised_hlt(text):
+    # the largest group drawn is F4 (1152), which needs about 1,200 cosets:
+    # an enumerator that fails to close one stops here instead of growing
+    # toward the default 10^6
     pres = cct.parse_presentation(text)
-    ct = cct.todd_coxeter(pres)
+    ct = cct.todd_coxeter(pres, max_cosets=20000)
     assert ct == standardise(hlt_reference(pres))
     assert standardise(ct) == ct
 
@@ -584,6 +594,9 @@ def failing_cosets(ct, pres):
 @pytest.mark.parametrize("text", [
     "<a,b | a^2, b^2, (a b)^3>",
     "<a,b | a^3, b^3, (a b)^3, (a b^-1)^3>",  # inverse letters
+    "<a,b | a^2, b^2, (a b)^4>",  # a root of two letters squared twice
+    "<a,b | a^8, b^2, b^-1 a b a>",  # one letter squared three times
+    "<a,b | a^7, b^3, b^-1 a b a^-2>",  # a relator with no period
 ])
 def test_closing_check_rejects_swapped_images(text):
     pres = cct.parse_presentation(text)
