@@ -56,7 +56,6 @@ from .groups import (
     from_cayley,
     from_permutations,
     is_normal,
-    named,
     normal_closure,
     perm_from_cycles,
     quaternion,
@@ -78,10 +77,7 @@ from .presentations import (
     CosetTable,
     Presentation,
     Word,
-    WordTable,
-    free_product,
     parse_presentation,
-    presentation_of,
     realize,
     todd_coxeter,
 )

@@ -228,6 +228,8 @@ def _cmd_catalog(env, args, inputs):
 
 
 def _cmd_verify(env, args, inputs):
+    if args.sample < 0:
+        raise ValueError("--sample must be non-negative")
     gens = _genspecs(env)
     catalog = _targets(env, args)
     rng = random.Random(args.seed)

@@ -37,7 +37,6 @@ __all__ = [
     "from_permutations",
     "perm_from_cycles",
     "cycle_notation",
-    "named",
     "cyclic",
     "abelian",
     "dihedral",
@@ -396,9 +395,13 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int, one_based: bo
     for cycle in cycles:
         points = [p - 1 for p in cycle] if one_based else list(cycle)
         mapping = list(range(degree))
+        seen = set()
         for i, p in enumerate(points):
             if not 0 <= p < degree:
                 raise ValueError(f"cycle point {p + one_based} out of range for degree {degree}")
+            if p in seen:
+                raise ValueError(f"cycle repeats point {p + one_based}")
+            seen.add(p)
             mapping[p] = points[(i + 1) % len(points)]
         result = _compose(result, mapping)
     return result
@@ -540,24 +543,6 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
         [a * hn for a in g.generators if a] + [b for b in h.generators if b]
     ) or [0]
     return _from_mul(n, mul, gens, labels)
-
-
-_FAMILIES = {
-    "cyclic": cyclic,
-    "abelian": abelian,
-    "dihedral": dihedral,
-    "quaternion": quaternion,
-    "symmetric": symmetric,
-    "alternating": alternating,
-    "direct_product": direct_product,
-}
-
-
-def named(family: str, *args) -> FiniteGroup:
-    """Dispatch to a named construction (cyclic, dihedral, symmetric, ...)."""
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    return _FAMILIES[family](*args)
 
 
 # ---------------------------------------------------------------------------

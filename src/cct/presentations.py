@@ -1,4 +1,4 @@
-"""Finitely presented groups: parsing, free products, coset enumeration.
+"""Finitely presented groups: parsing and coset enumeration.
 
 Enumeration is plain HLT over the trivial subgroup: live cosets are
 scanned in ascending order, relators in declared order, and a stalled scan
@@ -36,10 +36,7 @@ __all__ = [
     "Word",
     "Presentation",
     "CosetTable",
-    "WordTable",
     "parse_presentation",
-    "presentation_of",
-    "free_product",
     "todd_coxeter",
     "realize",
 ]
@@ -110,37 +107,6 @@ class CosetTable:
     num_cosets: int
     action: tuple[tuple[int, ...], ...]
     status: str = "closed"
-
-
-class WordTable:
-    """BFS spanning tree of a group over a chosen generator tuple.
-
-    Element x is reached as parent(x) * gens[edge(x)] in the BFS of
-    `groups._bfs_order`; the induced word for x is therefore the
-    BFS-shortest positive word.
-    """
-
-    def __init__(self, group: FiniteGroup, gens: tuple[int, ...]):
-        self.group = group
-        self.gens = gens
-        order, _, parent, edge = _bfs_order(0, gens, group.mul, group.order + 1)
-        if len(order) != group.order:
-            raise ValueError("generators do not generate the group")
-        self.discovery = order
-        # _bfs_order indexes its tree by discovery position; these by element
-        self.parent = [-1] * group.order
-        self.edge = [-1] * group.order
-        for x, p, e in zip(order[1:], parent[1:], edge[1:]):
-            self.parent[x] = order[p]
-            self.edge[x] = e
-
-    def word(self, x: int) -> tuple[int, ...]:
-        """Generator positions whose product reaches x from the identity."""
-        out: list[int] = []
-        while x != 0:
-            out.append(self.edge[x])
-            x = self.parent[x]
-        return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -304,76 +270,6 @@ def parse_presentation(text: str) -> Presentation:
     are accepted and converted to relators.
     """
     return _PresentationParser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# free products
-
-
-def _fresh_names():
-    for c in string.ascii_lowercase:
-        yield c
-    for i in itertools.count(1):
-        for c in string.ascii_lowercase:
-            yield f"{c}{i}"
-
-
-def presentation_of(group: FiniteGroup) -> Presentation:
-    """Presentation on the stored generators with every Cayley relation.
-
-    Each element's BFS word w(x) yields, per generator g, the relator
-    w(x) g w(x*g)^-1; tree relations reduce away and the rest pin the whole
-    multiplication table.  Deliberately non-minimal: correctness over
-    elegance.
-    """
-    gens = group.generators
-    table = WordTable(group, gens)
-    words = [table.word(x) for x in range(group.order)]
-    relators: list[tuple[tuple[int, int], ...]] = []
-    seen = set()
-    for x in range(group.order):
-        prefix = tuple((p, 1) for p in words[x])
-        for gi, g in enumerate(gens):
-            target = words[group.mul(x, g)]
-            raw = prefix + ((gi, 1),) + tuple((p, -1) for p in reversed(target))
-            red = _reduce(raw)
-            if red and red not in seen:
-                seen.add(red)
-                relators.append(red)
-    names = tuple(f"g{i}" for i in range(len(gens)))
-    return Presentation(names, tuple(Word(r) for r in relators))
-
-
-def free_product(parts) -> Presentation:
-    """Free product of presentations and finite groups.
-
-    Generators are renamed apart: finite-group factors get fresh letters
-    a, b, c, ...; presentation factors keep their names unless they clash,
-    in which case a numeric suffix is appended.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("free product needs at least one part")
-    if len(parts) == 1 and isinstance(parts[0], Presentation):
-        return parts[0]
-    used: set[str] = set()
-    fresh = _fresh_names()
-    all_names: list[str] = []
-    all_relators: list[Word] = []
-    for part in parts:
-        pres = presentation_of(part) if isinstance(part, FiniteGroup) else part
-        offset = len(all_names)
-        for name in pres.generators:
-            if isinstance(part, FiniteGroup):
-                name = next(n for n in fresh if n not in used)
-            elif name in used:
-                name = next(f"{name}_{i}" for i in itertools.count(2)
-                            if f"{name}_{i}" not in used)
-            used.add(name)
-            all_names.append(name)
-        for rel in pres.relators:
-            all_relators.append(Word(tuple((s + offset, e) for s, e in rel.letters)))
-    return Presentation(tuple(all_names), tuple(all_relators))
 
 
 # ---------------------------------------------------------------------------

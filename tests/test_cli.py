@@ -74,6 +74,11 @@ def test_spec_file_perm_cycles_are_one_based():
     assert env["t"].order == 2
 
 
+def test_spec_file_perm_cycle_repeating_a_point_is_rejected():
+    with pytest.raises(ValueError, match="repeats point 1"):
+        parse_spec_text("group t = perm 3 : (1 2 1)\n")
+
+
 def test_builtin_names():
     assert builtin_group("z6").order == 6
     assert builtin_group("s4").order == 24
@@ -180,6 +185,8 @@ def test_usage_errors_exit_2():
     assert code == 2 and "undefined" in err
     code, out, err = invoke(["factor", "--gen", "z2", "--target", "s3", "--hom", "99"])
     assert code == 2 and "out of range" in err
+    code, out, err = invoke(["verify", "--max-order", "6", "--sample", "-1"])
+    assert code == 2 and err == "error: --sample must be non-negative\n" and out == ""
 
 
 def test_run_builds_one_parser_per_process(monkeypatch):

@@ -271,6 +271,29 @@ def test_from_permutations_s3():
     assert not g.is_abelian
 
 
+@pytest.mark.parametrize("cycles, degree, one_based, expected", [
+    ([[1, 2], [2, 3]], 3, True, (2, 0, 1)),  # overlapping cycles compose left to right
+    ([[1, 2, 3]], 4, True, (1, 2, 0, 3)),
+    ([[3, 1, 2]], 3, True, (1, 2, 0)),
+    ([[1], [2, 3]], 3, True, (0, 2, 1)),
+    ([], 2, True, (0, 1)),
+    ([[0, 2], [1, 2]], 3, False, (1, 2, 0)),
+])
+def test_perm_from_cycles_values(cycles, degree, one_based, expected):
+    assert cct.perm_from_cycles(cycles, degree, one_based) == expected
+
+
+@pytest.mark.parametrize("cycles, one_based, point", [
+    ([[1, 2, 1]], True, 1),
+    ([[3, 1, 2, 3]], True, 3),
+    ([[1, 2], [2, 3, 2]], True, 2),
+    ([[0, 1, 0]], False, 0),
+])
+def test_perm_from_cycles_rejects_a_repeated_point(cycles, one_based, point):
+    with pytest.raises(ValueError, match=f"repeats point {point}$"):
+        cct.perm_from_cycles(cycles, 3, one_based)
+
+
 def test_from_permutations_empty_is_trivial():
     g = cct.from_permutations([], 4)
     assert g.order == 1
@@ -299,16 +322,6 @@ def test_order_max_env_override(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # named families
-
-
-def test_named_dispatch():
-    assert cct.named("cyclic", 1).order == 1
-    assert cct.named("alternating", 5).order == 60
-    prod = cct.named("direct_product", cct.cyclic(2), cct.cyclic(3))
-    assert prod.order == 6
-    assert prod.is_abelian
-    with pytest.raises(ValueError):
-        cct.named("sporadic", 1)
 
 
 def test_quaternion_structure():

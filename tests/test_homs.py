@@ -391,14 +391,3 @@ def test_hom_search_prunes_along_the_generator_chain(monkeypatch):
     assert [domain.element_order(g) for g in cct.minimal_generating_set(domain)] == [4, 4, 2]
     assert cct.hom_count(domain, s6) == 18256
 
-
-def test_word_table_words_reproduce_elements(standard_groups):
-    for key in ("s3", "d8", "a4"):
-        g = standard_groups[key]
-        gens = cct.minimal_generating_set(g)
-        table = cct.WordTable(g, gens)
-        for x in range(g.order):
-            acc = 0
-            for pos in table.word(x):
-                acc = g.mul(acc, gens[pos])
-            assert acc == x

@@ -1,5 +1,6 @@
-"""Presentation parsing, free products, coset enumeration, realization."""
+"""Presentation parsing, coset enumeration, realization."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -23,6 +24,41 @@ def evaluate(group, word):
         gen = group.generators[sym]
         acc = group.mul(acc, gen if exp > 0 else group.inv(gen))
     return acc
+
+
+def bfs_words(group):
+    """Each element's word in generator positions, as first reached by a
+    FIFO breadth-first search from the identity over `group.generators`."""
+    words = {0: ()}
+    frontier = collections.deque([0])
+    while frontier:
+        x = frontier.popleft()
+        for i, gen in enumerate(group.generators):
+            y = group.mul(x, gen)
+            if y not in words:
+                words[y] = words[x] + (i,)
+                frontier.append(y)
+    return words
+
+
+def cayley_presentation(group):
+    """Presentation text on generators g0, g1, ... with one relator per
+    Cayley edge x -> x g off the BFS tree: w(x) g w(x g)^-1, freely reduced
+    by cancelling the common suffix of w(x) g and w(x g), w the BFS words.
+    Tree edges reduce away and the rest pin the multiplication table."""
+    words = bfs_words(group)
+    relators = {}  # reduced (positive part, negated part) -> None, in first-seen order
+    for x in range(group.order):
+        for i, gen in enumerate(group.generators):
+            left, right = words[x] + (i,), words[group.mul(x, gen)]
+            while left and right and left[-1] == right[-1]:
+                left, right = left[:-1], right[:-1]
+            if left or right:
+                relators[left, right] = None
+    names = tuple(f"g{i}" for i in range(len(group.generators)))
+    texts = [cct.Word(tuple((p, 1) for p in left) + tuple((p, -1) for p in reversed(right)))
+             .text(names) for left, right in relators]
+    return f"< {', '.join(names)} | {', '.join(texts)} >"
 
 
 # ---------------------------------------------------------------------------
@@ -87,43 +123,6 @@ def test_parse_duplicate_names():
 def test_parse_zero_exponent_vanishes():
     pres = cct.parse_presentation("<a,b | a^0 b^2>")
     assert relator_texts(pres) == ["b^2"]
-
-
-# ---------------------------------------------------------------------------
-# free products
-
-
-def test_free_product_of_cyclics():
-    pres = cct.free_product([cct.cyclic(2), cct.cyclic(3)])
-    assert pres.generators == ("a", "b")
-    assert relator_texts(pres) == ["a^2", "b^3"]
-
-
-def test_free_product_single_presentation_unchanged():
-    pres = cct.parse_presentation("<x,y | x^2, y^2>")
-    assert cct.free_product([pres]) is pres
-
-
-def test_free_product_truncated_cyclics():
-    pres = cct.free_product([cct.cyclic(2), cct.cyclic(4), cct.cyclic(8)])
-    assert pres.generators == ("a", "b", "c")
-    assert relator_texts(pres) == ["a^2", "b^4", "c^8"]
-
-
-def test_free_product_renames_clashes():
-    left = cct.parse_presentation("<a | a^2>")
-    right = cct.parse_presentation("<a | a^3>")
-    pres = cct.free_product([left, right])
-    assert pres.generators == ("a", "a_2")
-    assert relator_texts(pres) == ["a^2", "a_2^3"]
-
-
-def test_free_product_of_nonabelian_group_realizes_back():
-    # the Cayley-relation conversion pins the whole multiplication table
-    s3 = cct.symmetric(3)
-    pres = cct.free_product([s3])
-    g = cct.realize(pres, 500)
-    assert cct.isomorphic(g, s3)
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +560,7 @@ def permutation_group_presentations(draw):
     degree = draw(st.integers(1, 5))
     perms = st.permutations(range(degree)).map(tuple)
     gens = draw(st.lists(perms, min_size=1, max_size=3))
-    return cct.presentation_of(cct.from_permutations(gens, degree)).text()
+    return cayley_presentation(cct.from_permutations(gens, degree))
 
 
 @settings(max_examples=200, deadline=None)
@@ -626,14 +625,14 @@ def test_closing_check_rejects_non_permutation():
 
 @settings(max_examples=30)
 @given(st.data())
-def test_realize_presentation_of_is_isomorphic(data):
+def test_realize_cayley_presentation_is_isomorphic(data):
     # checks coset enumeration against from_permutations, which builds the
     # group independently
     degree = data.draw(st.integers(1, 6))
     perms = st.permutations(range(degree)).map(tuple)
     gens = data.draw(st.lists(perms | st.just(tuple(range(degree))), min_size=1, max_size=3))
     group = cct.from_permutations(gens, degree)
-    pres = cct.presentation_of(group)
+    pres = cct.parse_presentation(cayley_presentation(group))
     realized = cct.realize(pres)
     assert cct.isomorphic(realized, group)
     assert all(evaluate(realized, rel) == 0 for rel in pres.relators)
@@ -646,8 +645,8 @@ def test_realize_presentation_of_is_isomorphic(data):
 def test_realize_labels_are_the_bfs_words(text, sep):
     pres = cct.parse_presentation(text)
     g = cct.realize(pres)
-    table = cct.WordTable(g, g.generators)
-    words = [sep.join(pres.generators[p] for p in table.word(x)) or "1" for x in range(g.order)]
+    paths = bfs_words(g)
+    words = [sep.join(pres.generators[p] for p in paths[x]) or "1" for x in range(g.order)]
     assert [g.label(x) for x in range(g.order)] == words
     assert g.label(0) == "1" and g.label(g.generators[1]) == pres.generators[1]
 

@@ -1,6 +1,7 @@
 """Module boundaries inside the cct package, checked on its source."""
 
 import ast
+import importlib
 import pathlib
 
 import cct
@@ -74,3 +75,23 @@ def test_one_constructor_builds_every_group():
             {"_bfs_group"})
     assert calls == []
     assert cap_reads == []
+
+
+def test_public_surface_matches_all():
+    """Each module's `__all__` names only what the module defines, and the
+    package re-exports from such a module only names listed there, so
+    `from cct.<module> import *` and `import cct` agree."""
+    stale, unlisted = [], []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("cct" if path.stem == "__init__" else f"cct.{path.stem}")
+        stale += [(path.stem, name) for name in getattr(module, "__all__", ())
+                  if not hasattr(module, name)]
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"cct.{node.module}")
+            if hasattr(module, "__all__"):
+                unlisted += [(node.module, alias.name) for alias in node.names
+                             if alias.name not in module.__all__]
+    assert stale == []
+    assert unlisted == []
