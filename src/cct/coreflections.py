@@ -1,7 +1,10 @@
 """Socles, radicals and the class-membership predicates they decide.
 
 The socle of a target under a generator is the subgroup generated by the
-images of all homomorphisms out of the generator's factors.  The radical
+images of all homomorphisms out of the generator's factors.  Conjugating a
+homomorphism gives another, so the socle is the normal closure of the
+images of the homomorphisms that send the first minimal generator to a
+conjugacy-class representative (`homs.hom_class_images`).  The radical
 grows the socle through an ascending chain: the next stage after N is the
 preimage of the socle of G/N, which is N joined with lifts of the images
 of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, Subgroup, _Closure, _cosets, is_normal, quotient
-from .homs import Homomorphism, hom_image_lifts, iter_homs
+from .homs import Homomorphism, hom_class_images, hom_image_lifts, iter_homs
 
 __all__ = [
     "GeneratorSpec",
@@ -77,26 +80,25 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
     """Subgroup generated by the images of all homomorphisms from `gen`.
 
     Raises OrderBudgetExceeded when a factor is too large to enumerate
-    homomorphisms from.  The closure takes each homomorphism's generator
-    images as the enumeration yields them and stops enumerating once it is
-    the whole target.  The result is always normal (conjugating a
-    homomorphism yields another one), which is asserted before returning
+    homomorphisms from.  Only the homomorphisms that send a factor's first
+    minimal generator to a conjugacy-class representative are walked: the
+    closure takes their generator images as the walk yields them, stops
+    walking once it is the whole target, and is then closed under
+    conjugation.  The result is normal, which is asserted before returning
     a proper subgroup; the whole target is normal by definition.
     """
     return _normal_stage(target, _socle_closure(GeneratorSpec.of(gen), target))
 
 
 def _socle_closure(spec: GeneratorSpec, target: FiniteGroup) -> _Closure:
-    images = (y for factor in spec.factors
-              for hom in iter_homs(factor, target)
-              for y in hom.gen_images)
-    return _Closure(target).extend(images)
+    images = (y for factor in spec.factors for y in hom_class_images(factor, target))
+    return _Closure(target).extend(images).close_under_conjugation()
 
 
 def _normal_stage(target: FiniteGroup, closure: _Closure) -> Subgroup:
     result = closure.subgroup()
     if result.order < target.order and not is_normal(target, result):
-        raise AssertionError("socle is not normal: hom enumeration is broken")
+        raise AssertionError("stage is not normal: hom enumeration or normal closure is broken")
     return result
 
 

@@ -636,6 +636,27 @@ class _Closure:
                 break
         return self
 
+    def close_under_conjugation(self) -> "_Closure":
+        """Grow to the least normal subgroup holding the current one.
+
+        Each accepted generator is conjugated by every generator of the
+        group, and a new conjugate is accepted in turn, so `gens` grows
+        while it is read.  When no conjugate is new, conjugation by every
+        group generator maps the generators, hence the whole subgroup, into
+        itself, so the subgroup is normal.
+        """
+        group = self.group
+        if group.is_abelian:  # every subgroup is normal
+            return self
+        mul = group.mul
+        conjugators = [(g, group.inv(g)) for g in group.generators]
+        for x in self.gens:
+            if self.is_whole:
+                break
+            for g, ginv in conjugators:
+                self.add(mul(mul(g, x), ginv))
+        return self
+
     def subgroup(self) -> Subgroup:
         return Subgroup(self.group, self.members, _checked=True)
 
@@ -666,13 +687,9 @@ def _conjugates_outside(group: FiniteGroup,
 
 
 def normal_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    """Least normal subgroup containing `gens` (conjugate and re-close)."""
-    closure = _closure_of(group, gens)
-    while True:
-        extra = [y for _, _, y in _conjugates_outside(group, closure.members)]
-        if not extra:
-            return closure.subgroup()
-        closure.extend(extra)
+    """Least normal subgroup containing `gens` (closed under conjugation of
+    its accepted generators)."""
+    return _closure_of(group, gens).close_under_conjugation().subgroup()
 
 
 def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:

@@ -18,6 +18,13 @@ runs as well on the cosets of a normal subgroup, which finds the
 homomorphisms into a quotient without building it.
 `groups._first_bad_edge` remains the check for a map given whole
 (`Homomorphism.validate`, quotients).
+
+Questions that conjugation in the codomain does not change walk homs only
+up to conjugacy: `hom_count` and the socle (`hom_class_images`) let m1
+run over one representative of each conjugacy class in its slot, and
+weigh each homomorphism found by its class size.  `iter_homs`,
+`enumerate_homs`, `isomorphism` and `hom_image_lifts` keep the full walk
+and its lexicographic order.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import OrderBudgetExceeded
@@ -90,10 +97,13 @@ def _make_hom(domain: FiniteGroup, codomain: FiniteGroup, full: tuple[int, ...])
 # check) steps, then the members of the chain subgroup they complete.
 _Level = tuple[list[tuple[int, int, int, bool]], list[int]]
 
-# Groups are immutable, so a group's minimal generating set and the hom
-# search's steps over it never change; an entry goes when the group does.
+# Groups are immutable, so a group's minimal generating set, the hom
+# search's steps over it and the conjugacy classes of its slots (per element
+# order m) never change; an entry goes when the group does.
 _MIN_GENS: weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]] = weakref.WeakKeyDictionary()
 _CHAIN_STEPS: weakref.WeakKeyDictionary[FiniteGroup, list[_Level]] = weakref.WeakKeyDictionary()
+_SLOT_CLASSES: weakref.WeakKeyDictionary[FiniteGroup, dict[int, dict[int, int]]] = \
+    weakref.WeakKeyDictionary()
 
 
 def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
@@ -197,18 +207,86 @@ def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
     Yields in lexicographic order of the image tuple of the minimal
     generating set (canonical element order of the codomain).
     """
+    _check_hom_domain(domain, domain_max)
+    for full in _hom_maps(domain, codomain.mul, _dividing_orders(codomain)):
+        yield _make_hom(domain, codomain, full)
+
+
+def _check_hom_domain(domain: FiniteGroup, domain_max: int | None) -> None:
     limit = domain_max if domain_max is not None else config.HOM_DOMAIN_MAX
     if domain.order > limit:
         raise OrderBudgetExceeded(limit, "hom enumeration domain")
-    orders = codomain.element_orders()
-    for full in _hom_maps(domain, codomain.mul,
-                          lambda m: [y for y, o in enumerate(orders) if m % o == 0]):
-        yield _make_hom(domain, codomain, full)
+
+
+def _dividing_orders(group: FiniteGroup) -> Callable[[int], list[int]]:
+    """The slot function of the full walk into a group: for m, every element
+    whose order divides m, in index order."""
+    orders = group.element_orders()
+    return lambda m: [y for y, o in enumerate(orders) if m % o == 0]
+
+
+def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
+    """The conjugacy classes of the group among its elements whose order
+    divides m: the least element of each class, in index order, mapped to
+    the class size.
+
+    Each class is the orbit of its least element under conjugation by the
+    group's generators, so the work is |slot| |generators| conjugations,
+    not one per element of the group.  An abelian group's classes are its
+    elements; they are not cached, being the full walk's slot.
+    """
+    if group.is_abelian:
+        return dict.fromkeys(_dividing_orders(group)(m), 1)
+    cached = _SLOT_CLASSES.get(group)
+    if cached is None:
+        cached = _SLOT_CLASSES[group] = {}
+    elif m in cached:
+        return cached[m]
+    mul = group.mul
+    conjugators = [(g, group.inv(g)) for g in group.generators]
+    seen = set()
+    classes = {}
+    for x in _dividing_orders(group)(m):
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:
+            for g, ginv in conjugators:
+                z = mul(mul(g, y), ginv)
+                if z not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        classes[x] = len(orbit)
+    cached[m] = classes
+    return classes
+
+
+def _class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int | None
+                ) -> tuple[int, dict[int, int], Iterator[tuple[int, ...]]]:
+    """The first minimal generator m1 of the domain, its slot's conjugacy
+    classes in the codomain (`_slot_classes`), and the full maps of the
+    homomorphisms domain -> codomain that send m1 to a class's least
+    element.
+
+    If c r c^-1 = x, conjugation by c maps the homomorphisms with m1 -> r
+    one to one onto those with m1 -> x.  So each map stands for |class(r)|
+    homomorphisms, and the image of every homomorphism is a conjugate of
+    one map's image.  The trivial domain's one map sends its identity,
+    taken as m1, to the identity, whose class is itself.
+    """
+    _check_hom_domain(domain, domain_max)
+    mgs = minimal_generating_set(domain)
+    m1 = mgs[0] if mgs else 0
+    classes = _slot_classes(codomain, domain.element_order(m1))
+    return m1, classes, _hom_maps(domain, codomain.mul, _dividing_orders(codomain),
+                                  first=classes)
 
 
 def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
               slot: Callable[[int], list[int]],
-              bijective: bool = False) -> Iterator[tuple[int, ...]]:
+              bijective: bool = False,
+              first: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
     """Full maps of the homomorphisms domain -> C, or of the bijective ones
     only, in the slots' order of the minimal generating set's images.
 
@@ -219,7 +297,10 @@ def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
     bijection) and may leave out the rest, since those never pass.  A
     `FiniteGroup` gives its own product and element orders; the cosets of
     a normal subgroup give the quotient's product without the quotient
-    group being built (`hom_image_lifts`).
+    group being built (`hom_image_lifts`).  `first`, when given, replaces
+    the slot of the first minimal generator m1 and may hold any labels:
+    the walk then yields exactly the homomorphisms that send m1 into it
+    (`_class_walk` passes one element per conjugacy class).
 
     A depth-first walk over the generators' slots: the image of m_j runs
     the j-th step list of `_chain_steps` on the map built so far, and the
@@ -230,7 +311,8 @@ def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
     checks, so this is the test that decides.
     """
     mgs = minimal_generating_set(domain)
-    slots = [slot(domain.element_order(g)) for g in mgs]
+    slots = [first if j == 0 and first is not None else slot(domain.element_order(g))
+             for j, g in enumerate(mgs)]
     levels = _chain_steps(domain, mgs)
     f = [0] * domain.order
     images = [0] * len(mgs)
@@ -334,8 +416,26 @@ def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup,
 
 def hom_count(domain: FiniteGroup, codomain: FiniteGroup,
               domain_max: int | None = None) -> int:
-    """Number of homomorphisms, consuming the stream without storing maps."""
-    return sum(1 for _ in iter_homs(domain, codomain, domain_max))
+    """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
+    the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
+    send the first minimal generator to the class's least element r."""
+    m1, class_size, maps = _class_walk(domain, codomain, domain_max)
+    return sum(class_size[full[m1]] for full in maps)
+
+
+def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int]:
+    """The images of the domain's generators, hom by hom, under the
+    homomorphisms domain -> codomain that send the first minimal generator
+    to a conjugacy-class representative.
+
+    Every homomorphism is conjugate to one of these, so the normal closure
+    of the images is the subgroup generated by the images of all
+    homomorphisms.  Left out of `__all__`: its one caller is
+    `coreflections.socle`.
+    """
+    _, _, maps = _class_walk(domain, codomain, None)
+    for full in maps:
+        yield from _compose(domain.generators, full)
 
 
 def image(hom: Homomorphism) -> Subgroup:

@@ -162,7 +162,10 @@ def _parse_perm(rest: str, lineno: int) -> FiniteGroup:
                 if not points:
                     continue
                 cycles.append([int(p) for p in points])
-            gens.append(perm_from_cycles(cycles, degree, one_based=True))
+            try:
+                gens.append(perm_from_cycles(cycles, degree, one_based=True))
+            except ValueError as exc:
+                raise _fail(lineno, 0, str(exc), "distinct points 1..DEGREE in each cycle") from exc
     return from_permutations(gens, degree)
 
 

@@ -75,8 +75,13 @@ def test_spec_file_perm_cycles_are_one_based():
 
 
 def test_spec_file_perm_cycle_repeating_a_point_is_rejected():
-    with pytest.raises(ValueError, match="repeats point 1"):
+    with pytest.raises(ParseError, match="line 1.*repeats point 1"):
         parse_spec_text("group t = perm 3 : (1 2 1)\n")
+
+
+def test_spec_file_perm_cycle_point_out_of_range_names_its_line():
+    with pytest.raises(ParseError, match="line 2.*cycle point 4 out of range for degree 3"):
+        parse_spec_text("group ok = cyclic 2\ngroup t = perm 3 : (1 4)\n")
 
 
 def test_builtin_names():

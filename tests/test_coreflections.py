@@ -133,14 +133,19 @@ def test_socle_checks_normality_only_of_a_proper_subgroup(monkeypatch):
     assert cct.socle(cct.cyclic(3), s5).order == 60
     assert calls == 1
 
-    # a hom stream whose images generate a non-normal subgroup is caught
+    # a stage that is not normal is caught
     s3 = cct.symmetric(3)
     transposition = next(x for x in range(1, 6) if s3.element_order(x) == 2)
-    z2 = cct.cyclic(2)
-    fake = cct.Homomorphism(z2, s3, (transposition,), (0, transposition))
-    monkeypatch.setattr(cct.coreflections, "iter_homs", lambda domain, target: iter([fake]))
+    closure = cct.groups._Closure(s3).extend([transposition])
     with pytest.raises(AssertionError, match="not normal"):
-        cct.socle(z2, s3)
+        cct.coreflections._normal_stage(s3, closure)
+
+
+def test_socle_reads_the_hom_domain_budget(monkeypatch):
+    monkeypatch.setattr(cct.config, "HOM_DOMAIN_MAX", 4)
+    with pytest.raises(cct.errors.OrderBudgetExceeded, match="hom enumeration domain"):
+        cct.socle(cct.cyclic(6), cct.symmetric(3))
+    assert cct.socle(cct.cyclic(4), cct.symmetric(3)).order == 6
 
 
 def test_generator_spec_validation(standard_groups):

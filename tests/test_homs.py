@@ -256,6 +256,69 @@ def test_domain_budget():
         cct.enumerate_homs(cct.cyclic(20), cct.cyclic(2), domain_max=10)
 
 
+def test_hom_count_reads_the_domain_budget():
+    with pytest.raises(OrderBudgetExceeded):
+        cct.hom_count(cct.cyclic(20), cct.cyclic(2), domain_max=10)
+    assert cct.hom_count(cct.cyclic(20), cct.cyclic(2), domain_max=20) == 2
+
+
+# ---------------------------------------------------------------------------
+# homs up to conjugacy
+
+
+def test_hom_count_matches_the_full_walk_on_catalog(catalog24):
+    targets = {"s4": cct.symmetric(4), "s5": cct.symmetric(5), "a5": cct.alternating(5),
+               "d12": cct.dihedral(12), "q8": cct.quaternion()}
+    for entry in catalog24.entries:
+        for name, target in targets.items():
+            expect = sum(1 for _ in cct.iter_homs(entry.group, target))
+            assert cct.hom_count(entry.group, target) == expect, (entry.name, name)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_hom_count_matches_the_full_walk_on_permutation_groups(data):
+    domain = HOM_POOL[data.draw(st.sampled_from(sorted(HOM_POOL)))]
+    degree = data.draw(st.integers(1, 5))
+    perms = st.permutations(range(degree)).map(tuple)
+    group = cct.from_permutations(data.draw(st.lists(perms, min_size=1, max_size=3)), degree)
+    assert cct.hom_count(domain, group) == sum(1 for _ in cct.iter_homs(domain, group))
+
+
+def brute_force_classes(group):
+    """Oracle: every conjugacy class {g x g^-1 : g in G}, as a set."""
+    def inverse(g):
+        y = g
+        while group.mul(y, g) != 0:
+            y = group.mul(y, g)
+        return y
+
+    conjugators = [(g, inverse(g)) for g in range(group.order)]
+    classes, seen = [], set()
+    for x in range(group.order):
+        if x not in seen:
+            classes.append({group.mul(group.mul(g, x), ginv) for g, ginv in conjugators})
+            seen |= classes[-1]
+    return classes
+
+
+def test_slot_classes_match_brute_force_conjugacy_classes(monkeypatch):
+    # an abelian group's classes are its elements, found without orbits
+    groups = [cct.symmetric(5), cct.alternating(5), cct.abelian([2, 6])]
+    monkeypatch.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 100)
+    groups.append(cct.from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], 6))
+    assert groups[-1].backing == "permutation-composition"
+    for group in groups:
+        orders = group.element_orders()
+        classes = brute_force_classes(group)
+        exponent = math.lcm(*orders)
+        for m in (d for d in range(1, exponent + 1) if exponent % d == 0):
+            got = cct.homs._slot_classes(group, m)
+            expect = sorted((min(c), len(c)) for c in classes if m % orders[min(c)] == 0)
+            assert list(got.items()) == expect
+            assert sum(got.values()) == sum(1 for o in orders if m % o == 0)
+
+
 # ---------------------------------------------------------------------------
 # images
 
@@ -391,3 +454,21 @@ def test_hom_search_prunes_along_the_generator_chain(monkeypatch):
     assert [domain.element_order(g) for g in cct.minimal_generating_set(domain)] == [4, 4, 2]
     assert cct.hom_count(domain, s6) == 18256
 
+
+def test_full_hom_walk_prunes_along_the_generator_chain(monkeypatch):
+    # the same walk as above, through iter_homs: hom_count walks only one
+    # image of m1 per conjugacy class of S6 (six of 256), so only the full
+    # walk's products show whether the chain prunes
+    domain = cct.direct_product(cct.dihedral(8), cct.cyclic(2))
+    s6 = cct.symmetric(6)
+    mul, calls = s6.mul, 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        if calls > 2_000_000:
+            raise AssertionError("hom search made over 2,000,000 products")
+        return mul(a, b)
+
+    monkeypatch.setattr(s6, "mul", counted)
+    assert sum(1 for _ in cct.iter_homs(domain, s6)) == 18256
