@@ -396,10 +396,12 @@ def factor_through_class(query: FactorizationQuery,
     """First subgroup (canonical order) in the class containing the image.
 
     Only the overgroups of the image are walked, grown from its closure one
-    element at a time.  A sound sufficient test for the bounded
-    factorization property: when a subgroup M in the class contains the
-    image, the map factors as K -> M -> H.  Returning None does not prove
-    that no factorization through a class member exists.
+    element at a time and yielded one order level at a time, so the walk
+    stops at the first level that holds a class member.  A sound
+    sufficient test for the bounded factorization property: when a
+    subgroup M in the class contains the image, the map factors as
+    K -> M -> H.  Returning None does not prove that no factorization
+    through a class member exists.
     """
     predicate = resolve_class_predicate(query.class_predicate)
     overgroups = _overgroups(query.hom.codomain, query.hom.full_map, enum_max)

@@ -7,12 +7,13 @@ homomorphism checks are exact at every size.  ORDER_MAX may be overridden
 with the CCT_ORDER_MAX environment variable.  Some operations also accept
 their limit as an explicit argument: `from_permutations` (order_max),
 `iter_homs`, `enumerate_homs` and `hom_count` (domain_max), `all_subgroups`
-(enum_max), and `todd_coxeter` and `realize` (max_cosets).  Everywhere
-else the group-order limit takes no argument and is read from `order_max()`
-only: in `cyclic`, `abelian`, `dihedral`, `direct_product`, `symmetric` and
-`alternating` (through `from_permutations`), `minimal_generating_set`,
-`truncated_generator`, `build_small_catalog`, and the closure `realize`
-builds over its coset table.
+and `factor_through_class` (enum_max), and `todd_coxeter` and `realize`
+(max_cosets).  Everywhere else the group-order limit takes no argument and
+is read from `order_max()` only: in `cyclic`, `abelian`, `dihedral`,
+`direct_product`, `symmetric` and `alternating` (through
+`from_permutations`), `minimal_generating_set`, `truncated_generator`,
+`build_small_catalog`, and the closure `realize` builds over its coset
+table.
 """
 
 from __future__ import annotations

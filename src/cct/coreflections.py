@@ -9,15 +9,19 @@ grows the socle through an ascending chain: the next stage after N is the
 preimage of the socle of G/N, which is N joined with lifts of the images
 of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
 by the hom walk run on the cosets of N (`homs.hom_image_lifts`), so no
-quotient group is built; the chain stops when a stage adds nothing.  A
-generator with several factors stands for their formal free product,
-whose homomorphisms are exactly tuples of factor homomorphisms, so the
-socle is computed factor-wise and the free product itself is never
-materialized.
+quotient group is built; the chain stops when a stage adds nothing.  By
+Lagrange, the image of a homomorphism from a factor A into G/N has an
+order dividing both |A| and [G:N], so a factor of order prime to the
+index maps trivially and is not walked; once no factor is left, the chain
+ends without labelling the cosets of N.  A generator with several factors
+stands for their formal free product, whose homomorphisms are exactly
+tuples of factor homomorphisms, so the socle is computed factor-wise and
+the free product itself is never materialized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .groups import FiniteGroup, Subgroup, _Closure, _cosets, is_normal, quotient
@@ -109,19 +113,27 @@ def radical(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> RadicalCha
     N's closure, extended by lifts of the images of every homomorphism from
     each factor into target/N.  `homs.hom_image_lifts` finds those
     homomorphisms on the cosets of N, labelled once per stage, so no
-    quotient group is built.  The chain stops when a stage adds nothing,
-    which is when target/N admits only trivial homomorphisms, or when it
-    reaches the whole target; each kept stage is at least twice the one
-    before, so at most log2 |target| steps occur.  Every proper stage is
-    asserted normal, as the socle is.
+    quotient group is built.  By Lagrange, the image of a homomorphism
+    from a factor A into target/N has an order dividing both |A| and
+    [target:N], so when they are coprime it is trivial and A is not walked;
+    when no factor is left, the chain ends before the cosets are labelled.
+    The chain stops when a stage adds nothing, which is when target/N
+    admits only trivial homomorphisms, or when it reaches the whole target;
+    each kept stage is at least twice the one before, so at most
+    log2 |target| steps occur.  Every proper stage is asserted normal, as
+    the socle is.
     """
     spec = GeneratorSpec.of(gen)
     closure = _socle_closure(spec, target)
     stages = [_normal_stage(target, closure)]
     while not closure.is_whole:
+        index = target.order // len(closure.members)
+        factors = [f for f in spec.factors if math.gcd(f.order, index) > 1]
+        if not factors:
+            break
         coset_of, reps = _cosets(target, closure.members)
         grown = closure.fork().extend(
-            y for factor in spec.factors
+            y for factor in factors
             for y in hom_image_lifts(factor, target, coset_of, reps))
         if len(grown.members) == len(closure.members):
             break

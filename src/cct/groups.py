@@ -762,53 +762,65 @@ def _first_bad_edge(domain: FiniteGroup, codomain: FiniteGroup,
 
 
 def _overgroups(group: FiniteGroup, seeds: Iterable[int],
-                enum_max: int | None = None) -> list[Subgroup]:
-    """Every subgroup containing `seeds`, ascending by order then member tuple.
+                enum_max: int | None = None) -> Iterator[Subgroup]:
+    """Every subgroup containing `seeds`, ascending by order then member
+    tuple, yielded one order level at a time.
 
     Those are exactly the subgroups reached from <seeds> one element at a
-    time, so each is grown from a fork of a smaller one's closure.  From a
-    subgroup H, elements x that must give the same overgroup <H, x> share
-    one fork, by two rules:
+    time, so each is grown from a fork of a strictly smaller one's closure.
+    From a subgroup H, elements x that must give the same overgroup <H, x>
+    share one fork, by two rules:
 
     - <H, x> = <H, h x> for every h in H, so one x per right coset H x;
     - <H, x> = <H, x^k> for every k prime to the order of x, so that fork
       also covers the cosets H x^k of the other generators of <x>.
 
     The elements covered so far from H are marked in one set, at |H|
-    products per coset, which costs less than one fork.
+    products per coset, which costs less than one fork.  Closures wait in
+    one list per order and the least order is forked first.  A fork is
+    bigger than the closure it grows from, so once every smaller subgroup
+    has been forked, the closures waiting at the least order k are every
+    subgroup of order k.  That level is yielded, sorted, before its own
+    forks are grown: a caller that stops in it grows nothing above it.
+    The budget is checked before any closure is grown.
     """
     limit = enum_max if enum_max is not None else config.SUBGROUP_ENUM_MAX
     if group.order > limit:
         raise OrderBudgetExceeded(limit, "subgroup enumeration")
     mul = group.mul
     orders = group.element_orders()
-    queue = [_closure_of(group, seeds)]
-    known = {frozenset(queue[0].members)}
-    while queue:
-        current = queue.pop()
-        members = list(current.members)
-        covered = set(members)
-        for x in range(group.order):
-            if x not in covered:
-                m = orders[x]
-                y = x
-                for k in range(1, m):
-                    if y not in covered and math.gcd(k, m) == 1:
-                        covered.update([mul(h, y) for h in members])
-                    y = mul(y, x)
-                bigger = current.fork().extend([x])
-                key = frozenset(bigger.members)
-                if key not in known:
-                    known.add(key)
-                    queue.append(bigger)
-    ordered = sorted(known, key=lambda s: (len(s), tuple(sorted(s))))
-    return [Subgroup(group, s, _checked=True) for s in ordered]
+    start = _closure_of(group, seeds)
+    key = frozenset(start.members)
+    known = {key}
+    pending = {len(key): [(key, start)]}
+    while pending:
+        level = sorted(((Subgroup(group, key, _checked=True), current)
+                        for key, current in pending.pop(min(pending))),
+                       key=lambda pair: pair[0].sorted_members())
+        for sub, _ in level:
+            yield sub
+        for _, current in level:
+            members = list(current.members)
+            covered = set(members)
+            for x in range(group.order):
+                if x not in covered:
+                    m = orders[x]
+                    y = x
+                    for k in range(1, m):
+                        if y not in covered and math.gcd(k, m) == 1:
+                            covered.update([mul(h, y) for h in members])
+                        y = mul(y, x)
+                    bigger = current.fork().extend([x])
+                    key = frozenset(bigger.members)
+                    if key not in known:
+                        known.add(key)
+                        pending.setdefault(len(key), []).append((key, bigger))
 
 
 def all_subgroups(group: FiniteGroup, enum_max: int | None = None) -> list[Subgroup]:
     """Every subgroup exactly once, ascending by order then member tuple,
-    from one walk of forked closures up from the trivial subgroup.  From
-    each subgroup H it forks once per right coset H x, and that one fork
-    also covers the cosets of the other generators of <x> (see
-    `_overgroups`)."""
-    return _overgroups(group, (), enum_max)
+    from one level-by-level walk of forked closures up from the trivial
+    subgroup.  From each subgroup H it forks once per right coset H x, and
+    that one fork also covers the cosets of the other generators of <x>
+    (see `_overgroups`)."""
+    return list(_overgroups(group, (), enum_max))

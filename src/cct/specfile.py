@@ -101,27 +101,30 @@ def _names(text: str, lineno: int, env: dict, what: str) -> list:
     return out
 
 
+def _one_int(text: str, lineno: int, head: str, what: str) -> int:
+    nums = _ints(text, lineno, f"{head} {what}")
+    if len(nums) != 1:
+        raise _fail(lineno, 0, f"{head} takes one integer", "an integer")
+    return nums[0]
+
+
 def _parse_group_rhs(rhs: str, lineno: int, env: dict, default_budget: int | None) -> FiniteGroup:
     head, _, rest = rhs.partition(" ")
     rest = rest.strip()
     if head == "cyclic":
-        (n,) = _ints(rest, lineno, "cyclic order")
-        return cyclic(n)
+        return cyclic(_one_int(rest, lineno, head, "order"))
     if head == "abelian":
         return abelian(_ints(rest, lineno, "abelian factors"))
     if head == "dihedral":
-        (n,) = _ints(rest, lineno, "dihedral order")
-        return dihedral(n)
+        return dihedral(_one_int(rest, lineno, head, "order"))
     if head == "quaternion":
         if rest:
             raise _fail(lineno, 0, "quaternion takes no arguments", "end of line")
         return quaternion()
     if head == "symmetric":
-        (n,) = _ints(rest, lineno, "symmetric degree")
-        return symmetric(n)
+        return symmetric(_one_int(rest, lineno, head, "degree"))
     if head == "alternating":
-        (n,) = _ints(rest, lineno, "alternating degree")
-        return alternating(n)
+        return alternating(_one_int(rest, lineno, head, "degree"))
     if head == "product":
         parts = _names(rest, lineno, env, "product factors")
         if len(parts) != 2:

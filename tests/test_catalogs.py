@@ -379,6 +379,37 @@ def test_subgroup_walk_forks_once_per_coset_class(monkeypatch):
     assert forks <= 500
 
 
+@pytest.mark.parametrize("name", ["2-group", "abelian", "cyclic"])
+def test_factorization_stops_at_the_level_of_its_first_class_member(name, monkeypatch):
+    # the image <x> of order 2 is itself a class member: nothing above its
+    # level is grown, where the whole lattice above it forks 240 closures
+    forks = 0
+    fork = cct.groups._Closure.fork
+
+    def counting_fork(self):
+        nonlocal forks
+        forks += 1
+        return fork(self)
+
+    group = cct.abelian([2] * 5)
+    hom = next(h for h in cct.enumerate_homs(cct.cyclic(2), group) if any(h.full_map))
+    monkeypatch.setattr(cct.groups._Closure, "fork", counting_fork)
+    found = cct.factor_through_class(cct.FactorizationQuery(hom, name))
+    assert found.members == frozenset(hom.full_map)
+    assert forks <= 30
+
+
+def test_overgroups_are_yielded_by_order_then_members(standard_groups):
+    s4 = standard_groups["s4"]
+    lattice = [(sub.order, sub.sorted_members()) for sub in cct.all_subgroups(s4)]
+    for x in range(s4.order):
+        walk = cct.groups._overgroups(s4, [x])
+        assert iter(walk) is walk  # lazy: a caller may stop at any level
+        keys = [(sub.order, sub.sorted_members()) for sub in walk]
+        assert keys == sorted(keys)
+        assert keys == [key for key in lattice if x in key[1]]
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_all_subgroups_matches_brute_force_on_random_groups(data):

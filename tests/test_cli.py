@@ -84,6 +84,19 @@ def test_spec_file_perm_cycle_point_out_of_range_names_its_line():
         parse_spec_text("group ok = cyclic 2\ngroup t = perm 3 : (1 4)\n")
 
 
+@pytest.mark.parametrize("head", ["cyclic", "dihedral", "symmetric", "alternating"])
+def test_spec_file_one_integer_constructor_given_two_names_its_line(head, tmp_path):
+    text = f"group ok = cyclic 2\ngroup a = {head} 3, 4\n"
+    with pytest.raises(ParseError, match=f"line 2.*{head} takes one integer") as exc:
+        parse_spec_text(text)
+    assert exc.value.line == 2
+    spec = tmp_path / "groups.spec"
+    spec.write_text(text)
+    code, out, err = invoke(["catalog", "--spec", str(spec)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2") and "too many values" not in err
+
+
 def test_builtin_names():
     assert builtin_group("z6").order == 6
     assert builtin_group("s4").order == 24

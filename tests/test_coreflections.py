@@ -232,6 +232,40 @@ def test_radical_matches_quotient_built_chain_on_catalog(catalog24):
             assert stages == quotient_radical(spec, entry.group), (key, entry.name)
 
 
+def test_radical_skips_factors_coprime_to_the_index(monkeypatch):
+    # a hom from A into G/N has image order dividing gcd(|A|, [G:N])
+    labelled, walked = [], []
+    cosets, lifts = cct.coreflections._cosets, cct.coreflections.hom_image_lifts
+
+    def counting_cosets(group, members):
+        labelled.append(len(members))
+        return cosets(group, members)
+
+    def counting_lifts(domain, *args):
+        walked.append(domain.order)
+        return lifts(domain, *args)
+
+    monkeypatch.setattr(cct.coreflections, "_cosets", counting_cosets)
+    monkeypatch.setattr(cct.coreflections, "hom_image_lifts", counting_lifts)
+    for degree in (4, 6):
+        chain = cct.radical(cct.cyclic(3), cct.symmetric(degree))
+        assert chain.stage_orders() == (math.factorial(degree) // 2,)  # A4, A6
+    assert labelled == walked == []
+
+    spec = cct.GeneratorSpec((cct.cyclic(2), cct.cyclic(3)))
+    assert cct.radical(spec, cct.cyclic(8)).stage_orders() == (2, 4, 8)
+    assert labelled == [2, 4]
+    assert walked == [2, 2]
+
+
+@pytest.mark.parametrize("orders", [(4, 9), (5,)])
+def test_radical_with_factors_often_coprime_to_the_index(orders, catalog24):
+    spec = cct.GeneratorSpec(tuple(cct.cyclic(n) for n in orders))
+    for entry in catalog24:
+        stages = [stage.members for stage in cct.radical(spec, entry.group).stages]
+        assert stages == quotient_radical(spec, entry.group), entry.name
+
+
 def test_radical_is_least_normal_subgroup_with_hom_free_quotient(standard_groups, catalog24):
     # co-reflectivity: the radical is the intersection of all normal N such
     # that every hom from the generator into G/N is trivial
