@@ -26,6 +26,7 @@ from .coreflections import (
     HierarchyReport,
     RadicalChain,
     RadicalCheck,
+    check_invariants,
     hierarchy_report,
     is_constructible,
     is_generated,

@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import random
 import sys
 import time
 
@@ -19,15 +17,9 @@ from .catalogs import (
     classify_up_to_iso,
     factor_through_class,
 )
-from .coreflections import (
-    GeneratorSpec,
-    hierarchy_report,
-    radical,
-    radical_chain_check,
-    socle,
-)
+from .coreflections import GeneratorSpec, check_invariants, hierarchy_report, radical, socle
 from .errors import CctError, UndefinedName
-from .groups import FiniteGroup, Subgroup, is_normal
+from .groups import FiniteGroup, Subgroup
 from .homs import enumerate_homs, isomorphism
 from .specfile import parse_spec_file, resolve_name
 
@@ -228,73 +220,9 @@ def _cmd_catalog(env, args, inputs):
 
 
 def _cmd_verify(env, args, inputs):
-    if args.sample < 0:
-        raise ValueError("--sample must be non-negative")
     gens = _genspecs(env)
     catalog = _targets(env, args)
-    rng = random.Random(args.seed)
-    failures: list[dict] = []
-    checks = 0
-
-    def fail(check: str, gen_name: str, target_name: str, witness: str):
-        failures.append({"check": check, "gen": gen_name, "target": target_name,
-                         "witness": witness})
-
-    chains = {}
-    for gen_name, gen in gens:
-        for entry in catalog:
-            chain = radical(gen, entry.group)
-            chains[(gen_name, entry.name)] = chain
-            soc, rad = chain.stages[0], chain.final
-            checks += 1
-            if not soc.members <= rad.members:
-                fail("socle-in-radical", gen_name, entry.name,
-                     f"socle order {soc.order} not inside radical order {rad.order}")
-            checks += 1
-            if not (is_normal(entry.group, soc) and is_normal(entry.group, rad)):
-                fail("normality", gen_name, entry.name, "stage not normal")
-            checks += 1
-            orders = chain.stage_orders()
-            if any(b < 2 * a for a, b in zip(orders, orders[1:])):
-                fail("chain-doubling", gen_name, entry.name, f"stage orders {orders}")
-            checks += 1
-            if chain.length - 1 > math.log2(max(entry.group.order, 1)):
-                fail("chain-length", gen_name, entry.name, f"{chain.length} stages")
-            checks += 1
-            chk = radical_chain_check(gen, chain)
-            if not chk.ok:
-                fail("quotient-triviality", gen_name, entry.name,
-                     f"hom with images {chk.offender.gen_images}")
-            checks += 1
-            if socle(gen, soc.as_group()).order != soc.order:
-                fail("socle-idempotence", gen_name, entry.name,
-                     f"socle order {soc.order}")
-            checks += 1
-            if radical(gen, rad.as_group()).final.order != rad.order:
-                fail("radical-idempotence", gen_name, entry.name,
-                     f"radical order {rad.order}")
-
-    small = [e for e in catalog if e.group.order <= 12]
-    pairs = [(a, b) for a in small for b in small]
-    rng.shuffle(pairs)
-    for src, dst in pairs[:args.sample]:
-        homs = enumerate_homs(src.group, dst.group)
-        for gen_name, gen in gens:
-            s_src = chains[(gen_name, src.name)].stages[0]
-            s_dst = chains[(gen_name, dst.name)].stages[0]
-            t_src = chains[(gen_name, src.name)].final
-            t_dst = chains[(gen_name, dst.name)].final
-            checks += 1
-            for hom in homs:
-                if not {hom.full_map[x] for x in s_src.members} <= s_dst.members:
-                    fail("socle-functoriality", gen_name,
-                         f"{src.name}->{dst.name}", f"gen images {hom.gen_images}")
-                    break
-                if not {hom.full_map[x] for x in t_src.members} <= t_dst.members:
-                    fail("radical-functoriality", gen_name,
-                         f"{src.name}->{dst.name}", f"gen images {hom.gen_images}")
-                    break
-
+    checks, failures = check_invariants(gens, catalog)
     result = {"checks": checks, "failures": failures, "passed": not failures}
     lines = [f"{checks} checks on {len(catalog)} groups x {len(gens)} generators: "
              + ("all passed" if not failures else f"{len(failures)} FAILURES")]
@@ -339,15 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=None,
                        help="default coset budget for presentations")
         p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled invariant checks")
+                       help="echoed in the JSON report; no command reads it")
         if name == "factor":
             p.add_argument("--class", dest="class_predicate", default="2-group",
                            help="named class predicate (e.g. 2-group, abelian)")
             p.add_argument("--hom", type=int, default=0,
                            help="index into the enumerated homomorphism list")
-        if name == "verify":
-            p.add_argument("--sample", type=int, default=25,
-                           help="sampled target pairs for functoriality checks")
     return parser
 
 

@@ -4,7 +4,7 @@ The socle of a target under a generator is the subgroup generated by the
 images of all homomorphisms out of the generator's factors.  Conjugating a
 homomorphism gives another, so the socle is the normal closure of the
 images of the homomorphisms that send the first minimal generator to a
-conjugacy-class representative (`homs.hom_class_images`).  The radical
+conjugacy-class representative (`homs.hom_class_walk`).  The radical
 grows the socle through an ascending chain: the next stage after N is the
 preimage of the socle of G/N, which is N joined with lifts of the images
 of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, Subgroup, _Closure, _cosets, is_normal, quotient
-from .homs import Homomorphism, hom_class_images, hom_image_lifts, iter_homs
+from .groups import (FiniteGroup, Subgroup, _Closure, _compose, _cosets, _normal_stage,
+                     is_normal, quotient)
+from .homs import Homomorphism, hom_class_walk, hom_image_lifts, iter_homs
 
 __all__ = [
     "GeneratorSpec",
@@ -38,6 +39,7 @@ __all__ = [
     "is_constructible",
     "verify_radical_property",
     "hierarchy_report",
+    "check_invariants",
 ]
 
 
@@ -95,15 +97,10 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
 
 
 def _socle_closure(spec: GeneratorSpec, target: FiniteGroup) -> _Closure:
-    images = (y for factor in spec.factors for y in hom_class_images(factor, target))
+    images = (y for factor in spec.factors
+              for full in hom_class_walk(factor, target)[2]
+              for y in _compose(factor.generators, full))
     return _Closure(target).extend(images).close_under_conjugation()
-
-
-def _normal_stage(target: FiniteGroup, closure: _Closure) -> Subgroup:
-    result = closure.subgroup()
-    if result.order < target.order and not is_normal(target, result):
-        raise AssertionError("stage is not normal: hom enumeration or normal closure is broken")
-    return result
 
 
 def radical(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> RadicalChain:
@@ -178,8 +175,8 @@ def verify_radical_property(gen: GeneratorSpec | FiniteGroup,
 def radical_chain_check(spec: GeneratorSpec, chain: RadicalChain) -> RadicalCheck:
     """`verify_radical_property` on a radical chain already built for `spec`.
 
-    Left out of `__all__`: it serves callers that hold the chain, such as
-    `cli verify`, so that the chain is not built twice.
+    Left out of `__all__`: it serves `check_invariants`, which holds the
+    chain, so that the chain is not built twice.
     """
     qmap = quotient(chain.target, chain.final)
     for factor in spec.factors:
@@ -215,3 +212,80 @@ def hierarchy_report(gen: GeneratorSpec | FiniteGroup,
         constructible=rad.order == target.order,
         chain_length=chain.length,
     )
+
+
+def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
+                     catalog) -> tuple[int, list[dict]]:
+    """Check the co-reflection invariants exactly: the number of checks and
+    the failures, each a dict of `check`, `gen`, `target` and `witness`.
+
+    Seven checks per named generator and catalog entry: the socle lies in
+    the radical, both are normal, each stage at least doubles the last, the
+    chain has at most log2 |G| + 1 stages, G/radical admits only trivial
+    homs, and both are idempotent (a trivial or whole stage is, and G/G
+    admits only trivial homs, so those pass unworked).  One check per
+    generator and ordered pair (A, B) of entries of order at most 12: every
+    hom A -> B maps S(A) into S(B) and R(A) into R(B).  These are normal, so
+    only the homs up to conjugacy (`homs.hom_class_walk`) map the stages'
+    generators; a trivial source stage or a whole target needs no hom.
+    """
+    specs = [(name, GeneratorSpec.of(gen)) for name, gen in gens]
+    entries = list(catalog)
+    failures: list[dict] = []
+
+    def fail(check: str, gen: str, target: str, witness: str):
+        failures.append({"check": check, "gen": gen, "target": target, "witness": witness})
+
+    stages = []  # per generator, per entry: (socle, radical)
+    for gen_name, spec in specs:
+        stages.append([])
+        for entry in entries:
+            group = entry.group
+            chain = radical(spec, group)
+            soc, rad = chain.stages[0], chain.final
+            stages[-1].append((soc, rad))
+            if not soc.members <= rad.members:
+                fail("socle-in-radical", gen_name, entry.name,
+                     f"socle order {soc.order} not inside radical order {rad.order}")
+            if not (is_normal(group, soc) and is_normal(group, rad)):
+                fail("normality", gen_name, entry.name, "stage not normal")
+            orders = chain.stage_orders()
+            if any(b < 2 * a for a, b in zip(orders, orders[1:])):
+                fail("chain-doubling", gen_name, entry.name, f"stage orders {orders}")
+            if chain.length - 1 > math.log2(max(group.order, 1)):
+                fail("chain-length", gen_name, entry.name, f"{chain.length} stages")
+            if rad.order < group.order:
+                chk = radical_chain_check(spec, chain)
+                if not chk.ok:
+                    fail("quotient-triviality", gen_name, entry.name,
+                         f"hom with images {chk.offender.gen_images}")
+            if 1 < soc.order < group.order and socle(spec, soc.as_group()).order != soc.order:
+                fail("socle-idempotence", gen_name, entry.name, f"socle order {soc.order}")
+            if (1 < rad.order < group.order
+                    and radical(spec, rad.as_group()).final.order != rad.order):
+                fail("radical-idempotence", gen_name, entry.name, f"radical order {rad.order}")
+
+    small = [i for i, entry in enumerate(entries) if entry.group.order <= 12]
+    names = ("socle-functoriality", "radical-functoriality")
+    seeds = {(k, i): [_Closure(stage.parent).extend(stage.sorted_members()).gens
+                      for stage in stages[k][i]]
+             for k in range(len(specs)) for i in small}
+    for a in small:
+        for b in small:
+            src, dst = entries[a], entries[b]
+            todo = [(k, names[kind], source, stages[k][b][kind].members)
+                    for k in range(len(specs))
+                    for kind, source in enumerate(seeds[k, a])
+                    if source and stages[k][b][kind].order < dst.group.order]
+            for full in hom_class_walk(src.group, dst.group)[2] if todo else ():
+                for item in todo:
+                    k, check, source, members = item
+                    if not members.issuperset(_compose(source, full)):
+                        fail(check, specs[k][0], f"{src.name}->{dst.name}",
+                             f"gen images {_compose(src.group.generators, full)}")
+                        todo = [other for other in todo if other is not item]
+                if not todo:
+                    break
+
+    checks = 7 * len(specs) * len(entries) + len(specs) * len(small) ** 2
+    return checks, failures

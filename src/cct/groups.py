@@ -699,6 +699,16 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     return next(_conjugates_outside(group, sub.members), None) is None
 
 
+def _normal_stage(group: FiniteGroup, closure: _Closure) -> Subgroup:
+    """The closure's subgroup, asserted normal unless whole: a socle or
+    radical stage.  It calls `is_normal` here, not through `coreflections`,
+    so a fault planted in `check_invariants`' normality check stays there."""
+    result = closure.subgroup()
+    if result.order < group.order and not is_normal(group, result):
+        raise AssertionError("stage is not normal: hom enumeration or normal closure is broken")
+    return result
+
+
 def _cosets(group: FiniteGroup, members: Collection[int]) -> tuple[list[int], list[int]]:
     """Labels of the cosets x N of the subgroup N with these members, at
     |G| products: coset_of[x] is the label of x N, numbered in order of

@@ -20,9 +20,10 @@ homomorphisms into a quotient without building it.
 (`Homomorphism.validate`, quotients).
 
 Questions that conjugation in the codomain does not change walk homs only
-up to conjugacy: `hom_count` and the socle (`hom_class_images`) let m1
-run over one representative of each conjugacy class in its slot, and
-weigh each homomorphism found by its class size.  `iter_homs`,
+up to conjugacy: `hom_count`, the socle and the functoriality checks of
+`coreflections.check_invariants` (`hom_class_walk`) let m1 run over one
+representative of each conjugacy class in its slot, and `hom_count`
+weighs each homomorphism found by its class size.  `iter_homs`,
 `enumerate_homs`, `isomorphism` and `hom_image_lifts` keep the full walk
 and its lexicographic order.
 """
@@ -262,8 +263,8 @@ def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
     return classes
 
 
-def _class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int | None
-                ) -> tuple[int, dict[int, int], Iterator[tuple[int, ...]]]:
+def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int | None = None
+                   ) -> tuple[int, dict[int, int], Iterator[tuple[int, ...]]]:
     """The first minimal generator m1 of the domain, its slot's conjugacy
     classes in the codomain (`_slot_classes`), and the full maps of the
     homomorphisms domain -> codomain that send m1 to a class's least
@@ -273,7 +274,8 @@ def _class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int | No
     one to one onto those with m1 -> x.  So each map stands for |class(r)|
     homomorphisms, and the image of every homomorphism is a conjugate of
     one map's image.  The trivial domain's one map sends its identity,
-    taken as m1, to the identity, whose class is itself.
+    taken as m1, to the identity, whose class is itself.  Left out of
+    `__all__`: `hom_count`, the socle and `check_invariants` call it.
     """
     _check_hom_domain(domain, domain_max)
     mgs = minimal_generating_set(domain)
@@ -300,7 +302,7 @@ def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
     group being built (`hom_image_lifts`).  `first`, when given, replaces
     the slot of the first minimal generator m1 and may hold any labels:
     the walk then yields exactly the homomorphisms that send m1 into it
-    (`_class_walk` passes one element per conjugacy class).
+    (`hom_class_walk` passes one element per conjugacy class).
 
     A depth-first walk over the generators' slots: the image of m_j runs
     the j-th step list of `_chain_steps` on the map built so far, and the
@@ -419,23 +421,8 @@ def hom_count(domain: FiniteGroup, codomain: FiniteGroup,
     """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
     the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
     send the first minimal generator to the class's least element r."""
-    m1, class_size, maps = _class_walk(domain, codomain, domain_max)
+    m1, class_size, maps = hom_class_walk(domain, codomain, domain_max)
     return sum(class_size[full[m1]] for full in maps)
-
-
-def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int]:
-    """The images of the domain's generators, hom by hom, under the
-    homomorphisms domain -> codomain that send the first minimal generator
-    to a conjugacy-class representative.
-
-    Every homomorphism is conjugate to one of these, so the normal closure
-    of the images is the subgroup generated by the images of all
-    homomorphisms.  Left out of `__all__`: its one caller is
-    `coreflections.socle`.
-    """
-    _, _, maps = _class_walk(domain, codomain, None)
-    for full in maps:
-        yield from _compose(domain.generators, full)
 
 
 def image(hom: Homomorphism) -> Subgroup:

@@ -69,10 +69,13 @@ def _parse_line(line: str, lineno: int, env: dict, default_budget: int | None):
     kind, name, rhs = m.group(1), m.group(2), m.group(3).strip()
     if name in env:
         raise _fail(lineno, m.start(2), f"name {name!r} already defined", "a fresh name")
-    if kind == "group":
-        env[name] = _parse_group_rhs(rhs, lineno, env, default_budget)
-    else:
-        env[name] = _parse_genspec_rhs(rhs, lineno, env)
+    try:
+        if kind == "group":
+            env[name] = _parse_group_rhs(rhs, lineno, env, default_budget)
+        else:
+            env[name] = _parse_genspec_rhs(rhs, lineno, env)
+    except ValueError as exc:  # a constructor rejected its arguments
+        raise _fail(lineno, m.start(3), str(exc)) from exc
 
 
 def _ints(text: str, lineno: int, what: str) -> list[int]:
@@ -165,10 +168,7 @@ def _parse_perm(rest: str, lineno: int) -> FiniteGroup:
                 if not points:
                     continue
                 cycles.append([int(p) for p in points])
-            try:
-                gens.append(perm_from_cycles(cycles, degree, one_based=True))
-            except ValueError as exc:
-                raise _fail(lineno, 0, str(exc), "distinct points 1..DEGREE in each cycle") from exc
+            gens.append(perm_from_cycles(cycles, degree, one_based=True))
     return from_permutations(gens, degree)
 
 

@@ -232,6 +232,52 @@ def test_radical_matches_quotient_built_chain_on_catalog(catalog24):
             assert stages == quotient_radical(spec, entry.group), (key, entry.name)
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_every_hom_maps_socle_and_radical_into_their_images(data):
+    # functoriality along the full hom walk, the reference for the walk up to
+    # conjugacy that check_invariants runs
+    groups = []
+    for _ in range(2):
+        degree = data.draw(st.integers(1, 4))
+        perms = st.permutations(range(degree)).map(tuple)
+        groups.append(cct.from_permutations(data.draw(st.lists(perms, min_size=1, max_size=2)),
+                                            degree))
+    key = data.draw(st.sampled_from(sorted(CHAIN_GENERATORS)))
+    spec = CHAIN_GENERATORS[key]
+    (s_src, r_src), (s_dst, r_dst) = [(chain.stages[0].members, chain.final.members)
+                                      for chain in (cct.radical(spec, g) for g in groups)]
+    for hom in cct.enumerate_homs(*groups):
+        assert {hom(x) for x in s_src} <= s_dst, (key, hom.gen_images)
+        assert {hom(x) for x in r_src} <= r_dst, (key, hom.gen_images)
+    catalog = cct.Catalog(cct.CatalogEntry(name, g, "drawn") for name, g in zip("AB", groups))
+    assert cct.check_invariants([(key, spec)], catalog)[1] == []
+
+
+def test_check_invariants_reports_a_planted_wrong_socle(monkeypatch):
+    # z4's socle under z2 is {0, 2}; with the trivial subgroup planted in its
+    # place, every hom onto {0, 2} from a group whose socle is whole breaks
+    # functoriality, and nothing else fails
+    catalog = cct.build_small_catalog(4)
+    z4 = catalog.get("z4").group
+    radical = cct.coreflections.radical
+
+    def planted(gen, target):
+        chain = radical(gen, target)
+        if target is not z4:
+            return chain
+        return cct.RadicalChain(target, (cct.Subgroup(target, [0]),) + chain.stages[1:])
+
+    monkeypatch.setattr(cct.coreflections, "radical", planted)
+    checks, failures = cct.check_invariants([("z2", cct.cyclic(2))], catalog)
+    assert checks == 7 * 7 + 7 * 7
+    assert [f["target"] for f in failures] == ["z2->z4", "ab2x2->z4", "d2->z4", "d4->z4"]
+    assert {f["check"] for f in failures} == {"socle-functoriality"}
+    assert failures[0] == {"check": "socle-functoriality", "gen": "z2", "target": "z2->z4",
+                           "witness": "gen images (2,)"}
+    assert all(f["witness"].startswith("gen images (") for f in failures)
+
+
 def test_radical_skips_factors_coprime_to_the_index(monkeypatch):
     # a hom from A into G/N has image order dividing gcd(|A|, [G:N])
     labelled, walked = [], []
