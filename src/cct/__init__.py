@@ -12,7 +12,6 @@ coset enumeration, small-group catalogs, and a CLI with JSON reports.
 from .catalogs import (
     Catalog,
     CatalogEntry,
-    FactorizationQuery,
     SocleRadicalReport,
     build_small_catalog,
     classify_up_to_iso,

@@ -39,7 +39,6 @@ from .presentations import parse_presentation, realize
 __all__ = [
     "CatalogEntry",
     "Catalog",
-    "FactorizationQuery",
     "SocleRadicalRow",
     "SocleRadicalReport",
     "truncated_generator",
@@ -118,8 +117,10 @@ def truncated_generator(p: int, k: int) -> GeneratorSpec:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("truncation depth must be positive")
-    if p**k > config.order_max():
-        raise OrderBudgetExceeded(config.order_max(), f"truncated generator {p}^{k}")
+    # p >= 2, so p^k > limit once 2^k is; test k before computing p^k
+    limit = config.order_max()
+    if k >= limit.bit_length() or p**k > limit:
+        raise OrderBudgetExceeded(limit, f"truncated generator {p}^{k}")
     return GeneratorSpec(tuple(cyclic(p**j) for j in range(1, k + 1)))
 
 
@@ -383,16 +384,7 @@ def resolve_class_predicate(name: str) -> Callable[[Subgroup], bool]:
     raise ValueError(f"unknown class predicate {name!r}")
 
 
-@dataclass(frozen=True)
-class FactorizationQuery:
-    """Does a homomorphism factor through a class member inside the codomain?"""
-
-    hom: Homomorphism
-    class_predicate: str
-
-
-def factor_through_class(query: FactorizationQuery,
-                         enum_max: int | None = None) -> Subgroup | None:
+def factor_through_class(hom: Homomorphism, class_predicate: str) -> Subgroup | None:
     """First subgroup (canonical order) in the class containing the image.
 
     Only the overgroups of the image are walked, grown from its closure one
@@ -403,6 +395,6 @@ def factor_through_class(query: FactorizationQuery,
     K -> M -> H.  Returning None does not prove that no factorization
     through a class member exists.
     """
-    predicate = resolve_class_predicate(query.class_predicate)
-    overgroups = _overgroups(query.hom.codomain, query.hom.full_map, enum_max)
+    predicate = resolve_class_predicate(class_predicate)
+    overgroups = _overgroups(hom.codomain, hom.full_map)
     return next((sub for sub in overgroups if predicate(sub)), None)

@@ -12,7 +12,6 @@ from . import __version__
 from .catalogs import (
     Catalog,
     CatalogEntry,
-    FactorizationQuery,
     build_small_catalog,
     classify_up_to_iso,
     factor_through_class,
@@ -191,7 +190,7 @@ def _cmd_factor(env, args, inputs):
     if not 0 <= args.hom < len(homs):
         raise ValueError(f"--hom {args.hom} out of range (found {len(homs)} homs)")
     hom = homs[args.hom]
-    sub = factor_through_class(FactorizationQuery(hom, args.class_predicate))
+    sub = factor_through_class(hom, args.class_predicate)
     result = {
         "found": sub is not None,
         "class_predicate": args.class_predicate,

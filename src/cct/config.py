@@ -1,19 +1,9 @@
-"""Tunable limits.
+"""Tunable limits, each read from this module when the call is made.
 
-All bounds are soft budgets: operations raise OrderBudgetExceeded or
-BudgetExceeded when they would grow past them, they never silently
-truncate.  No limit trades exactness for speed: group axioms and
-homomorphism checks are exact at every size.  ORDER_MAX may be overridden
-with the CCT_ORDER_MAX environment variable.  Some operations also accept
-their limit as an explicit argument: `from_permutations` (order_max),
-`iter_homs`, `enumerate_homs` and `hom_count` (domain_max), `all_subgroups`
-and `factor_through_class` (enum_max), and `todd_coxeter` and `realize`
-(max_cosets).  Everywhere else the group-order limit takes no argument and
-is read from `order_max()` only: in `cyclic`, `abelian`, `dihedral`,
-`direct_product`, `symmetric` and `alternating` (through
-`from_permutations`), `minimal_generating_set`, `truncated_generator`,
-`build_small_catalog`, and the closure `realize` builds over its coset
-table.
+Every limit is a budget: an operation that would grow past it raises
+OrderBudgetExceeded or BudgetExceeded and never truncates or samples.
+CCT_ORDER_MAX overrides ORDER_MAX_DEFAULT; coset enumeration alone also
+takes its budget per call (`max_cosets`), since its callers size it.
 """
 
 from __future__ import annotations

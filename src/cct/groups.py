@@ -389,28 +389,27 @@ def cycle_notation(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
-def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int, one_based: bool = True) -> tuple[int, ...]:
-    """Permutation tuple from cycles, composed left to right."""
+def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int, ...]:
+    """0-based permutation tuple from cycles of points 1..degree, composed
+    left to right."""
     result = tuple(range(degree))
     for cycle in cycles:
-        points = [p - 1 for p in cycle] if one_based else list(cycle)
+        points = [p - 1 for p in cycle]
         mapping = list(range(degree))
         seen = set()
         for i, p in enumerate(points):
             if not 0 <= p < degree:
-                raise ValueError(f"cycle point {p + one_based} out of range for degree {degree}")
+                raise ValueError(f"cycle point {p + 1} out of range for degree {degree}")
             if p in seen:
-                raise ValueError(f"cycle repeats point {p + one_based}")
+                raise ValueError(f"cycle repeats point {p + 1}")
             seen.add(p)
             mapping[p] = points[(i + 1) % len(points)]
         result = _compose(result, mapping)
     return result
 
 
-def from_permutations(gens: Sequence[Sequence[int]], degree: int,
-                      order_max: int | None = None) -> FiniteGroup:
+def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup:
     """Group generated by 0-based permutation tuples of the given degree."""
-    limit = order_max if order_max is not None else config.order_max()
     identity = tuple(range(degree))
     gen_perms = [tuple(g) for g in gens]
     for g in gen_perms:
@@ -418,7 +417,7 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int,
             raise ValueError(f"{g} is not a permutation of degree {degree}")
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    return _bfs_group(identity, gen_perms, _compose, limit, cycle_notation,
+    return _bfs_group(identity, gen_perms, _compose, config.order_max(), cycle_notation,
                       "permutation-composition")[0]
 
 
@@ -501,10 +500,22 @@ def quaternion() -> FiniteGroup:
     return _from_mul(8, mul, [1, 2], labels)
 
 
+def _check_factorial(first: int, n: int, context: str) -> None:
+    """Raise OrderBudgetExceeded when first * (first + 1) * ... * n exceeds
+    the group-order budget, stopping at the first partial product past it."""
+    limit = config.order_max()
+    product = 1
+    for k in range(first, n + 1):
+        product *= k
+        if product > limit:
+            raise OrderBudgetExceeded(limit, context)
+
+
 def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on {1..n} as a permutation group."""
     if n < 1:
         raise ValueError("symmetric degree must be positive")
+    _check_factorial(2, n, f"symmetric {n}")
     if n == 1:
         return from_permutations([], 1)
     gens = [perm_from_cycles([[1, 2]], n)]
@@ -517,6 +528,7 @@ def alternating(n: int) -> FiniteGroup:
     """Alternating group on {1..n} as a permutation group."""
     if n < 1:
         raise ValueError("alternating degree must be positive")
+    _check_factorial(3, n, f"alternating {n}")  # 3 * 4 * ... * n = n!/2
     if n <= 2:
         return from_permutations([], max(n, 1))
     gens = [perm_from_cycles([[1, 2, 3]], n)]
@@ -771,8 +783,7 @@ def _first_bad_edge(domain: FiniteGroup, codomain: FiniteGroup,
     return None
 
 
-def _overgroups(group: FiniteGroup, seeds: Iterable[int],
-                enum_max: int | None = None) -> Iterator[Subgroup]:
+def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
     """Every subgroup containing `seeds`, ascending by order then member
     tuple, yielded one order level at a time.
 
@@ -794,9 +805,8 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int],
     forks are grown: a caller that stops in it grows nothing above it.
     The budget is checked before any closure is grown.
     """
-    limit = enum_max if enum_max is not None else config.SUBGROUP_ENUM_MAX
-    if group.order > limit:
-        raise OrderBudgetExceeded(limit, "subgroup enumeration")
+    if group.order > config.SUBGROUP_ENUM_MAX:
+        raise OrderBudgetExceeded(config.SUBGROUP_ENUM_MAX, "subgroup enumeration")
     mul = group.mul
     orders = group.element_orders()
     start = _closure_of(group, seeds)
@@ -827,10 +837,10 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int],
                         pending.setdefault(len(key), []).append((key, bigger))
 
 
-def all_subgroups(group: FiniteGroup, enum_max: int | None = None) -> list[Subgroup]:
+def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, ascending by order then member tuple,
     from one level-by-level walk of forked closures up from the trivial
     subgroup.  From each subgroup H it forks once per right coset H x, and
     that one fork also covers the cosets of the other generators of <x>
     (see `_overgroups`)."""
-    return list(_overgroups(group, (), enum_max))
+    return list(_overgroups(group, ()))

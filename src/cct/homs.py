@@ -201,22 +201,20 @@ def _rank_lower_bound(group: FiniteGroup) -> int:
     return bound
 
 
-def iter_homs(domain: FiniteGroup, codomain: FiniteGroup,
-              domain_max: int | None = None) -> Iterator[Homomorphism]:
+def iter_homs(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[Homomorphism]:
     """All homomorphisms domain -> codomain, each exactly once.
 
     Yields in lexicographic order of the image tuple of the minimal
     generating set (canonical element order of the codomain).
     """
-    _check_hom_domain(domain, domain_max)
+    _check_hom_domain(domain)
     for full in _hom_maps(domain, codomain.mul, _dividing_orders(codomain)):
         yield _make_hom(domain, codomain, full)
 
 
-def _check_hom_domain(domain: FiniteGroup, domain_max: int | None) -> None:
-    limit = domain_max if domain_max is not None else config.HOM_DOMAIN_MAX
-    if domain.order > limit:
-        raise OrderBudgetExceeded(limit, "hom enumeration domain")
+def _check_hom_domain(domain: FiniteGroup) -> None:
+    if domain.order > config.HOM_DOMAIN_MAX:
+        raise OrderBudgetExceeded(config.HOM_DOMAIN_MAX, "hom enumeration domain")
 
 
 def _dividing_orders(group: FiniteGroup) -> Callable[[int], list[int]]:
@@ -263,7 +261,7 @@ def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
     return classes
 
 
-def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int | None = None
+def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup
                    ) -> tuple[int, dict[int, int], Iterator[tuple[int, ...]]]:
     """The first minimal generator m1 of the domain, its slot's conjugacy
     classes in the codomain (`_slot_classes`), and the full maps of the
@@ -277,7 +275,7 @@ def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup, domain_max: int |
     taken as m1, to the identity, whose class is itself.  Left out of
     `__all__`: `hom_count`, the socle and `check_invariants` call it.
     """
-    _check_hom_domain(domain, domain_max)
+    _check_hom_domain(domain)
     mgs = minimal_generating_set(domain)
     m1 = mgs[0] if mgs else 0
     classes = _slot_classes(codomain, domain.element_order(m1))
@@ -410,18 +408,16 @@ def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
     return levels
 
 
-def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup,
-                   domain_max: int | None = None) -> list[Homomorphism]:
+def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup) -> list[Homomorphism]:
     """All homomorphisms domain -> codomain as a list (see iter_homs)."""
-    return list(iter_homs(domain, codomain, domain_max))
+    return list(iter_homs(domain, codomain))
 
 
-def hom_count(domain: FiniteGroup, codomain: FiniteGroup,
-              domain_max: int | None = None) -> int:
+def hom_count(domain: FiniteGroup, codomain: FiniteGroup) -> int:
     """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
     the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
     send the first minimal generator to the class's least element r."""
-    m1, class_size, maps = hom_class_walk(domain, codomain, domain_max)
+    m1, class_size, maps = hom_class_walk(domain, codomain)
     return sum(class_size[full[m1]] for full in maps)
 
 

@@ -106,7 +106,6 @@ class CosetTable:
 
     num_cosets: int
     action: tuple[tuple[int, ...], ...]
-    status: str = "closed"
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ def _parse_perm(rest: str, lineno: int) -> FiniteGroup:
                 if not points:
                     continue
                 cycles.append([int(p) for p in points])
-            gens.append(perm_from_cycles(cycles, degree, one_based=True))
+            gens.append(perm_from_cycles(cycles, degree))
     return from_permutations(gens, degree)
 
 

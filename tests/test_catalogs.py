@@ -27,6 +27,9 @@ def test_truncated_generator_errors():
         cct.truncated_generator(4, 2)
     with pytest.raises(ValueError):
         cct.truncated_generator(3, 0)
+    # 3^(10^8) does not finish within a minute, so k is checked before p^k
+    with pytest.raises(OrderBudgetExceeded, match=r"\(truncated generator 3\^100000000\)$"):
+        cct.truncated_generator(3, 10**8)
 
 
 def test_is_prime_matches_trial_division():
@@ -251,7 +254,7 @@ def test_factor_through_2_group_in_d8(standard_groups):
     d8 = standard_groups["d8"]
     hom = next(h for h in cct.enumerate_homs(standard_groups["z2"], d8)
                if any(h.full_map))
-    sub = cct.factor_through_class(cct.FactorizationQuery(hom, "2-group"))
+    sub = cct.factor_through_class(hom, "2-group")
     assert sub is not None
     assert set(hom.full_map) <= sub.members
     assert sub.order in (2, 4, 8)
@@ -261,7 +264,7 @@ def test_factor_through_2_group_in_s3(standard_groups):
     s3 = standard_groups["s3"]
     hom = next(h for h in cct.enumerate_homs(standard_groups["z2"], s3)
                if any(h.full_map))
-    sub = cct.factor_through_class(cct.FactorizationQuery(hom, "2-group"))
+    sub = cct.factor_through_class(hom, "2-group")
     assert sub is not None and sub.order == 2
     assert set(hom.full_map) <= sub.members
 
@@ -270,13 +273,13 @@ def test_factor_no_2_group_contains_3_cycle(standard_groups):
     s3 = standard_groups["s3"]
     hom = next(h for h in cct.enumerate_homs(standard_groups["z3"], s3)
                if any(h.full_map))
-    assert cct.factor_through_class(cct.FactorizationQuery(hom, "2-group")) is None
+    assert cct.factor_through_class(hom, "2-group") is None
 
 
 def test_factor_result_satisfies_predicate(standard_groups):
     a4 = standard_groups["a4"]
     for hom in cct.enumerate_homs(standard_groups["z2"], a4):
-        sub = cct.factor_through_class(cct.FactorizationQuery(hom, "2-group"))
+        sub = cct.factor_through_class(hom, "2-group")
         assert sub is not None
         assert resolve_class_predicate("2-group")(sub)
         assert set(hom.full_map) <= sub.members
@@ -333,7 +336,7 @@ def test_factor_through_class_matches_brute_force(data):
         predicate = resolve_class_predicate(name)
         expected = next((sub for sub in _oracle_subgroups(group)
                          if image <= sub and predicate(cct.Subgroup(group, sub))), None)
-        found = cct.factor_through_class(cct.FactorizationQuery(hom, name))
+        found = cct.factor_through_class(hom, name)
         assert (None if found is None else found.members) == expected, name
 
 
@@ -357,7 +360,7 @@ def test_subgroup_walks_grow_forked_closures(monkeypatch):
     d64 = cct.dihedral(64)
     hom = next(h for h in cct.enumerate_homs(cct.cyclic(4), d64) if any(h.full_map))
     calls["add"] = 0
-    assert cct.factor_through_class(cct.FactorizationQuery(hom, "2-group")) is not None
+    assert cct.factor_through_class(hom, "2-group") is not None
     assert calls["add"] < 1000
 
 
@@ -394,7 +397,7 @@ def test_factorization_stops_at_the_level_of_its_first_class_member(name, monkey
     group = cct.abelian([2] * 5)
     hom = next(h for h in cct.enumerate_homs(cct.cyclic(2), group) if any(h.full_map))
     monkeypatch.setattr(cct.groups._Closure, "fork", counting_fork)
-    found = cct.factor_through_class(cct.FactorizationQuery(hom, name))
+    found = cct.factor_through_class(hom, name)
     assert found.members == frozenset(hom.full_map)
     assert forks <= 30
 

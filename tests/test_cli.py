@@ -9,7 +9,7 @@ import pytest
 import cct
 import cct.cli
 from cct.cli import run
-from cct.errors import ParseError, UndefinedName
+from cct.errors import OrderBudgetExceeded, ParseError, UndefinedName
 from cct.specfile import builtin_group, parse_spec_text, resolve_name
 
 
@@ -178,6 +178,17 @@ def test_non_prime_errors_are_unchanged(p):
     with pytest.raises(ParseError) as exc:
         parse_spec_text(f"genspec b = truncated {p} 2\n")
     assert str(exc.value) == f"line 1, column 12: {p} is not prime"
+
+
+def test_spec_file_huge_truncation_fails_fast(tmp_path):
+    line = "genspec g = truncated 3 100000000\n"
+    with pytest.raises(OrderBudgetExceeded, match=r"truncated generator 3\^100000000"):
+        parse_spec_text(line)
+    spec = tmp_path / "huge.spec"
+    spec.write_text(line)
+    code, out, err = invoke(["verify", "--spec", str(spec)])
+    assert (code, out) == (2, "")
+    assert "truncated generator 3^100000000" in err
 
 
 def test_classify_command_with_spec(tmp_path):

@@ -271,27 +271,27 @@ def test_from_permutations_s3():
     assert not g.is_abelian
 
 
-@pytest.mark.parametrize("cycles, degree, one_based, expected", [
-    ([[1, 2], [2, 3]], 3, True, (2, 0, 1)),  # overlapping cycles compose left to right
-    ([[1, 2, 3]], 4, True, (1, 2, 0, 3)),
-    ([[3, 1, 2]], 3, True, (1, 2, 0)),
-    ([[1], [2, 3]], 3, True, (0, 2, 1)),
-    ([], 2, True, (0, 1)),
-    ([[0, 2], [1, 2]], 3, False, (1, 2, 0)),
+@pytest.mark.parametrize("cycles, degree, expected", [
+    ([[1, 2], [2, 3]], 3, (2, 0, 1)),  # overlapping cycles compose left to right
+    ([[1, 2, 3]], 4, (1, 2, 0, 3)),
+    ([[3, 1, 2]], 3, (1, 2, 0)),
+    ([[1], [2, 3]], 3, (0, 2, 1)),
+    ([], 2, (0, 1)),
+    ([[1, 3], [2, 3]], 3, (1, 2, 0)),
 ])
-def test_perm_from_cycles_values(cycles, degree, one_based, expected):
-    assert cct.perm_from_cycles(cycles, degree, one_based) == expected
+def test_perm_from_cycles_values(cycles, degree, expected):
+    assert cct.perm_from_cycles(cycles, degree) == expected
 
 
-@pytest.mark.parametrize("cycles, one_based, point", [
-    ([[1, 2, 1]], True, 1),
-    ([[3, 1, 2, 3]], True, 3),
-    ([[1, 2], [2, 3, 2]], True, 2),
-    ([[0, 1, 0]], False, 0),
+@pytest.mark.parametrize("cycles, point", [
+    ([[1, 2, 1]], 1),
+    ([[3, 1, 2, 3]], 3),
+    ([[1, 2], [2, 3, 2]], 2),
+    ([[2, 2]], 2),
 ])
-def test_perm_from_cycles_rejects_a_repeated_point(cycles, one_based, point):
+def test_perm_from_cycles_rejects_a_repeated_point(cycles, point):
     with pytest.raises(ValueError, match=f"repeats point {point}$"):
-        cct.perm_from_cycles(cycles, 3, one_based)
+        cct.perm_from_cycles(cycles, 3)
 
 
 def test_from_permutations_empty_is_trivial():
@@ -305,12 +305,6 @@ def test_from_permutations_s5_closure():
     assert g.order == 120
 
 
-def test_from_permutations_budget():
-    gens = [cct.perm_from_cycles([[1, 2, 3, 4, 5]], 5), cct.perm_from_cycles([[1, 2]], 5)]
-    with pytest.raises(OrderBudgetExceeded):
-        cct.from_permutations(gens, 5, order_max=100)
-
-
 def test_order_max_env_override(monkeypatch):
     monkeypatch.setenv("CCT_ORDER_MAX", "50")
     with pytest.raises(OrderBudgetExceeded):
@@ -318,6 +312,48 @@ def test_order_max_env_override(monkeypatch):
     monkeypatch.setenv("CCT_ORDER_MAX", "not-a-number")
     with pytest.raises(ValueError):
         cct.symmetric(3)
+
+
+def _z2_into_z200_factor_order():
+    hom = cct.enumerate_homs(cct.cyclic(2), cct.cyclic(200))[1]
+    return cct.factor_through_class(hom, "2-group").order
+
+
+def _s5_order():
+    gens = [cct.perm_from_cycles([[1, 2, 3, 4, 5]], 5), cct.perm_from_cycles([[1, 2]], 5)]
+    return cct.from_permutations(gens, 5).order
+
+
+@pytest.mark.parametrize("limit, call, size, expected", [
+    ("HOM_DOMAIN_MAX", lambda: len(list(cct.iter_homs(cct.cyclic(20), cct.cyclic(2)))), 20, 2),
+    ("HOM_DOMAIN_MAX", lambda: len(cct.enumerate_homs(cct.cyclic(20), cct.cyclic(2))), 20, 2),
+    ("HOM_DOMAIN_MAX", lambda: cct.hom_count(cct.cyclic(20), cct.cyclic(2)), 20, 2),
+    ("SUBGROUP_ENUM_MAX", lambda: len(cct.all_subgroups(cct.cyclic(200))), 200, 12),
+    ("SUBGROUP_ENUM_MAX", _z2_into_z200_factor_order, 200, 2),
+    ("CCT_ORDER_MAX", _s5_order, 120, 120),
+], ids=["iter_homs", "enumerate_homs", "hom_count", "all_subgroups",
+        "factor_through_class", "from_permutations"])
+def test_limit_is_read_from_config(monkeypatch, limit, call, size, expected):
+    """Each entry point raises once its limit, read from `config` (or
+    CCT_ORDER_MAX) when called, falls below `size`, and gives its result
+    again at `size`."""
+    def set_limit(value):
+        if limit == "CCT_ORDER_MAX":
+            monkeypatch.setenv(limit, str(value))
+        else:
+            monkeypatch.setattr(cct.config, limit, value)
+
+    set_limit(size - 1)
+    with pytest.raises(OrderBudgetExceeded, match=f"order budget {size - 1} exceeded"):
+        call()
+    set_limit(size)
+    assert call() == expected
+
+
+@pytest.mark.parametrize("family", ["symmetric", "alternating"])
+def test_huge_degree_fails_before_building(family):
+    with pytest.raises(OrderBudgetExceeded, match=f"\\({family} 1000000\\)$"):
+        getattr(cct, family)(10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +599,6 @@ def test_all_subgroups_sorted_and_valid(standard_groups):
 def test_all_subgroups_budget():
     with pytest.raises(OrderBudgetExceeded):
         cct.all_subgroups(cct.cyclic(200))
-    assert len(cct.all_subgroups(cct.cyclic(200), enum_max=256)) == 12
 
 
 # ---------------------------------------------------------------------------

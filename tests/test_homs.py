@@ -251,17 +251,6 @@ def test_validate_checks_every_generator_edge():
             hom.validate()
 
 
-def test_domain_budget():
-    with pytest.raises(OrderBudgetExceeded):
-        cct.enumerate_homs(cct.cyclic(20), cct.cyclic(2), domain_max=10)
-
-
-def test_hom_count_reads_the_domain_budget():
-    with pytest.raises(OrderBudgetExceeded):
-        cct.hom_count(cct.cyclic(20), cct.cyclic(2), domain_max=10)
-    assert cct.hom_count(cct.cyclic(20), cct.cyclic(2), domain_max=20) == 2
-
-
 # ---------------------------------------------------------------------------
 # homs up to conjugacy
 
