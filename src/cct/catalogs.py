@@ -392,9 +392,18 @@ def factor_through_class(hom: Homomorphism, class_predicate: str) -> Subgroup | 
     stops at the first level that holds a class member.  A sound
     sufficient test for the bounded factorization property: when a
     subgroup M in the class contains the image, the map factors as
-    K -> M -> H.  Returning None does not prove that no factorization
-    through a class member exists.
+    K -> M -> H.
+
+    The built-in classes ('N-group', 'abelian', 'cyclic', 'trivial',
+    'all') are closed under subgroups and quotients, so the walk stops
+    after the image's own level, and None is a proof: a factorization
+    K -> M -> H through a class member M puts the image inside the image
+    of M, a class member, so <image> is one too.  A registered predicate
+    carries no such promise; it gets the full walk, and its None only says
+    that no subgroup of H in the class contains the image.
     """
     predicate = resolve_class_predicate(class_predicate)
     overgroups = _overgroups(hom.codomain, hom.full_map)
+    if class_predicate not in _CLASS_PREDICATES:
+        overgroups = itertools.islice(overgroups, 1)
     return next((sub for sub in overgroups if predicate(sub)), None)

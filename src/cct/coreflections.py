@@ -4,7 +4,7 @@ The socle of a target under a generator is the subgroup generated by the
 images of all homomorphisms out of the generator's factors.  Conjugating a
 homomorphism gives another, so the socle is the normal closure of the
 images of the homomorphisms that send the first minimal generator to a
-conjugacy-class representative (`homs.hom_class_walk`).  The radical
+conjugacy-class representative (`homs.hom_class_images`).  The radical
 grows the socle through an ascending chain: the next stage after N is the
 preimage of the socle of G/N, which is N joined with lifts of the images
 of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
@@ -13,10 +13,13 @@ quotient group is built; the chain stops when a stage adds nothing.  By
 Lagrange, the image of a homomorphism from a factor A into G/N has an
 order dividing both |A| and [G:N], so a factor of order prime to the
 index maps trivially and is not walked; once no factor is left, the chain
-ends without labelling the cosets of N.  A generator with several factors
-stands for their formal free product, whose homomorphisms are exactly
-tuples of factor homomorphisms, so the socle is computed factor-wise and
-the free product itself is never materialized.
+ends without labelling the cosets of N.  A cyclic factor Z/n needs no hom
+walk at all: its homomorphisms send m1 to the elements, or cosets, whose
+n-th power is trivial, so the socle takes the conjugacy-class
+representatives among them and each stage lifts every such coset.  A
+generator with several factors stands for their formal free product, whose
+homomorphisms are exactly tuples of factor homomorphisms, so the socle is
+computed factor-wise and the free product itself is never materialized.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from dataclasses import dataclass
 
 from .groups import (FiniteGroup, Subgroup, _Closure, _compose, _cosets, _normal_stage,
                      is_normal, quotient)
-from .homs import Homomorphism, hom_class_walk, hom_image_lifts, iter_homs
+from .homs import (Homomorphism, hom_class_images, hom_class_walk, hom_image_lifts, iter_homs,
+                   minimal_generating_set)
 
 __all__ = [
     "GeneratorSpec",
@@ -87,19 +91,39 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
 
     Raises OrderBudgetExceeded when a factor is too large to enumerate
     homomorphisms from.  Only the homomorphisms that send a factor's first
-    minimal generator to a conjugacy-class representative are walked: the
+    minimal generator to a conjugacy-class representative are walked (a
+    cyclic factor's images are those representatives, with no walk): the
     closure takes their generator images as the walk yields them, stops
     walking once it is the whole target, and is then closed under
     conjugation.  The result is normal, which is asserted before returning
     a proper subgroup; the whole target is normal by definition.
     """
-    return _normal_stage(target, _socle_closure(GeneratorSpec.of(gen), target))
+    return _normal_stage(target, _socle_closure(_walked_factors(GeneratorSpec.of(gen)), target))
 
 
-def _socle_closure(spec: GeneratorSpec, target: FiniteGroup) -> _Closure:
-    images = (y for factor in spec.factors
-              for full in hom_class_walk(factor, target)[2]
-              for y in _compose(factor.generators, full))
+def _walked_factors(spec: GeneratorSpec) -> list[FiniteGroup]:
+    """The factors whose homomorphisms the socle and radical walk.
+
+    A cyclic factor Z/a is a quotient of a cyclic factor Z/b when a divides
+    b, so every homomorphism out of Z/a is one out of Z/b and adds no
+    image: it is left out, and of equal cyclic factors only the last is
+    kept.  Of a truncated generator Z/p * ... * Z/p^k only Z/p^k is walked.
+    Z/b's order is a multiple of Z/a's, so the coprime stop of `radical`
+    and the domain budget treat the two alike.
+    """
+    cyclic = {i: f.order for i, f in enumerate(spec.factors)
+              if len(minimal_generating_set(f)) == 1}
+
+    def covered(i: int) -> bool:
+        a = cyclic.get(i)
+        return a is not None and any(j != i and b % a == 0 and (b > a or j > i)
+                                     for j, b in cyclic.items())
+
+    return [f for i, f in enumerate(spec.factors) if not covered(i)]
+
+
+def _socle_closure(factors: list[FiniteGroup], target: FiniteGroup) -> _Closure:
+    images = (y for factor in factors for y in hom_class_images(factor, target))
     return _Closure(target).extend(images).close_under_conjugation()
 
 
@@ -120,12 +144,12 @@ def radical(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> RadicalCha
     log2 |target| steps occur.  Every proper stage is asserted normal, as
     the socle is.
     """
-    spec = GeneratorSpec.of(gen)
-    closure = _socle_closure(spec, target)
+    walked = _walked_factors(GeneratorSpec.of(gen))
+    closure = _socle_closure(walked, target)
     stages = [_normal_stage(target, closure)]
     while not closure.is_whole:
         index = target.order // len(closure.members)
-        factors = [f for f in spec.factors if math.gcd(f.order, index) > 1]
+        factors = [f for f in walked if math.gcd(f.order, index) > 1]
         if not factors:
             break
         coset_of, reps = _cosets(target, closure.members)
@@ -223,9 +247,11 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
     the radical, both are normal, each stage at least doubles the last, the
     chain has at most log2 |G| + 1 stages, G/radical admits only trivial
     homs, and both are idempotent (a trivial or whole stage is, and G/G
-    admits only trivial homs, so those pass unworked).  One check per
-    generator and ordered pair (A, B) of entries of order at most 12: every
-    hom A -> B maps S(A) into S(B) and R(A) into R(B).  These are normal, so
+    admits only trivial homs, so those pass unworked).  Each distinct
+    proper stage of an entry is built as a group once, and every
+    generator's idempotence checks reuse it.  One check per generator and
+    ordered pair (A, B) of entries of order at most 12: every hom A -> B
+    maps S(A) into S(B) and R(A) into R(B).  These are normal, so
     only the homs up to conjugacy (`homs.hom_class_walk`) map the stages'
     generators; a trivial source stage or a whole target needs no hom.
     """
@@ -237,9 +263,17 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
         failures.append({"check": check, "gen": gen, "target": target, "witness": witness})
 
     stages = []  # per generator, per entry: (socle, radical)
+    stage_groups: dict[tuple[int, frozenset[int]], FiniteGroup] = {}
+
+    def as_group(i: int, stage: Subgroup) -> FiniteGroup:
+        key = (i, stage.members)
+        if key not in stage_groups:
+            stage_groups[key] = stage.as_group()
+        return stage_groups[key]
+
     for gen_name, spec in specs:
         stages.append([])
-        for entry in entries:
+        for i, entry in enumerate(entries):
             group = entry.group
             chain = radical(spec, group)
             soc, rad = chain.stages[0], chain.final
@@ -259,10 +293,10 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
                 if not chk.ok:
                     fail("quotient-triviality", gen_name, entry.name,
                          f"hom with images {chk.offender.gen_images}")
-            if 1 < soc.order < group.order and socle(spec, soc.as_group()).order != soc.order:
+            if 1 < soc.order < group.order and socle(spec, as_group(i, soc)).order != soc.order:
                 fail("socle-idempotence", gen_name, entry.name, f"socle order {soc.order}")
             if (1 < rad.order < group.order
-                    and radical(spec, rad.as_group()).final.order != rad.order):
+                    and radical(spec, as_group(i, rad)).final.order != rad.order):
                 fail("radical-idempotence", gen_name, entry.name, f"radical order {rad.order}")
 
     small = [i for i, entry in enumerate(entries) if entry.group.order <= 12]

@@ -12,9 +12,13 @@ to CAYLEY_TABLE_MAX elements the product reads a full multiplication table
 column per generator: 2 n |gens| products plus one `_compose` per row, in
 n^2 memory.  Larger groups multiply the raw elements they were built from and
 look the product up in a hash index: "permutation-composition" for
-permutation groups, "element-index" for the rest.  Inverses come from the
-BFS tree by one rule for both.  A group never changes after construction;
-only its element-order and abelian-flag caches are filled lazily.
+permutation groups, "element-index" for the rest.  The row product
+`mul_row(x, ys)`, x times each element of a sequence, is one `_compose`
+of ys through row x on a table and one `mul` per element otherwise; the
+closures, coset labels and overgroup walks multiply whole cosets with it.
+Inverses come from the BFS tree by one rule for both.  A group never
+changes after construction; only its element-order and abelian-flag
+caches are filled lazily.
 """
 
 from __future__ import annotations
@@ -56,13 +60,16 @@ __all__ = [
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
-    A plain record: `mul` is the index-level product and `inv` the inverse
-    lookup that `_bfs_group` chose for the group's backing.
+    A plain record: `mul` is the index-level product, `mul_row` the row
+    product and `inv` the inverse lookup that `_bfs_group` chose for the
+    group's backing.
     """
 
-    def __init__(self, order, mul, inverses, generators, labels, backing):
+    def __init__(self, order, mul, inverses, generators, labels, backing, mul_row=None):
         self.order = order
         self.mul = mul
+        if mul_row is not None:
+            self.mul_row = mul_row
         self.inv = inverses.__getitem__
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
@@ -70,6 +77,13 @@ class FiniteGroup:
         self._element_orders: list[int] | None = None
         self._orders_complete = False
         self._abelian: bool | None = None
+
+    def mul_row(self, x: int, ys: Sequence[int]) -> Sequence[int]:
+        """The products x y for each y in ys, in order.  A Cayley table reads
+        them off row x in one `_compose`; this fallback, for the other
+        backings, calls `mul` once per element."""
+        mul = self.mul
+        return [mul(x, y) for y in ys]
 
     def element_order(self, x: int) -> int:
         """Least m >= 1 with x^m = identity; always divides |G|.
@@ -258,11 +272,13 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     x_p (g x_j), so row a is row p (built before it) read through g's
     left-multiplication column L_g[j] = pos[g x_j], at n products per
     generator on a tree edge (2 n |gens| with the BFS) and one `_compose`
-    per row, a tuple of exactly n entries.
+    per row, a tuple of exactly n entries, and x times a sequence ys is
+    row x read through ys, one `_compose`.
     Above it the product multiplies the raw elements and looks the result
-    up in the index, under the name `backing`.  Either way the inverses
-    come from the same tree, on indices: (p g)^-1 = g^-1 p^-1, with
-    g^-1 = g^(m-1) for m the order of g.
+    up in the index, under the name `backing`, and a row product calls it
+    once per element.  Either way the inverses come from the same tree, on
+    indices: (p g)^-1 = g^-1 p^-1, with g^-1 = g^(m-1) for m the order of
+    g.
     """
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     n = len(order)
@@ -278,9 +294,11 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
                 col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
             table.append(_compose(col, table[parent[a]]))
         index_mul = lambda a, b: table[a][b]
+        mul_row = lambda a, ys: _compose(ys, table[a])
         backing = "cayley-table"
     else:
         index_mul = lambda a, b: pos[mul(order[a], order[b])]
+        mul_row = None
     gen_invs = []
     for g in gen_idx:
         y = g
@@ -290,7 +308,7 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     inv = [0]
     for a in range(1, n):
         inv.append(index_mul(gen_invs[edge[a]], inv[parent[a]]))
-    return FiniteGroup(n, index_mul, inv, gen_idx or [0], labels, backing), pos
+    return FiniteGroup(n, index_mul, inv, gen_idx or [0], labels, backing, mul_row), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
@@ -591,9 +609,9 @@ class _Closure:
 
     `members` always holds a subgroup closed under the generators accepted
     so far.  A seed that is already a member is skipped; a new one adds
-    whole right cosets of the old subgroup until the union is closed again
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005,
-    section 4.1).
+    whole left cosets r H of the old subgroup H, each by one row product,
+    until the union is closed again (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, section 4.1).
     """
 
     def __init__(self, group: FiniteGroup):
@@ -610,7 +628,7 @@ class _Closure:
         members = self.members
         if g in members:
             return
-        mul = self.group.mul
+        mul, mul_row = self.group.mul, self.group.mul_row
         gens = self.gens
         gens.append(g)
         if len(members) == 1:
@@ -621,17 +639,18 @@ class _Closure:
                 y = mul(y, g)
             return
         old = list(members)
-        # the union of the cosets old * r is closed once every r * t (t an
-        # accepted generator) lies in it; a new r * t starts a new coset
+        # the union of the cosets r * old is closed under left multiplication
+        # by every accepted generator t, hence a subgroup, once each t * r
+        # lies in it (t r h = r' h' h); a new t * r starts a new coset
         reps = [0]
         for r in reps:
             for t in gens:
-                rt = mul(r, t)
-                if rt not in members:
-                    members.update([mul(h, rt) for h in old])
+                tr = mul(t, r)
+                if tr not in members:
+                    members.update(mul_row(tr, old))
                     if self.is_whole:
                         return
-                    reps.append(rt)
+                    reps.append(tr)
 
     def fork(self) -> "_Closure":
         """An independent copy, to grow apart from this one."""
@@ -722,17 +741,18 @@ def _normal_stage(group: FiniteGroup, closure: _Closure) -> Subgroup:
 
 
 def _cosets(group: FiniteGroup, members: Collection[int]) -> tuple[list[int], list[int]]:
-    """Labels of the cosets x N of the subgroup N with these members, at
-    |G| products: coset_of[x] is the label of x N, numbered in order of
-    their least elements, which reps lists.  N itself is coset 0."""
+    """Labels of the left cosets x N of the subgroup N with these members,
+    one row product each: coset_of[x] is the label of x N, numbered in
+    order of their least elements, which reps lists.  N itself is coset 0."""
     coset_of = [-1] * group.order
     reps: list[int] = []
+    members = list(members)
     for x in range(group.order):
         if coset_of[x] < 0:
             cid = len(reps)
             reps.append(x)
-            for k in members:
-                coset_of[group.mul(x, k)] = cid
+            for y in group.mul_row(x, members):
+                coset_of[y] = cid
     return coset_of, reps
 
 
@@ -792,12 +812,12 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
     From a subgroup H, elements x that must give the same overgroup <H, x>
     share one fork, by two rules:
 
-    - <H, x> = <H, h x> for every h in H, so one x per right coset H x;
+    - <H, x> = <H, x h> for every h in H, so one x per left coset x H;
     - <H, x> = <H, x^k> for every k prime to the order of x, so that fork
-      also covers the cosets H x^k of the other generators of <x>.
+      also covers the cosets x^k H of the other generators of <x>.
 
-    The elements covered so far from H are marked in one set, at |H|
-    products per coset, which costs less than one fork.  Closures wait in
+    The elements covered so far from H are marked in one set, at one row
+    product per coset, which costs less than one fork.  Closures wait in
     one list per order and the least order is forked first.  A fork is
     bigger than the closure it grows from, so once every smaller subgroup
     has been forked, the closures waiting at the least order k are every
@@ -807,7 +827,7 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
     """
     if group.order > config.SUBGROUP_ENUM_MAX:
         raise OrderBudgetExceeded(config.SUBGROUP_ENUM_MAX, "subgroup enumeration")
-    mul = group.mul
+    mul, mul_row = group.mul, group.mul_row
     orders = group.element_orders()
     start = _closure_of(group, seeds)
     key = frozenset(start.members)
@@ -828,7 +848,7 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
                     y = x
                     for k in range(1, m):
                         if y not in covered and math.gcd(k, m) == 1:
-                            covered.update([mul(h, y) for h in members])
+                            covered.update(mul_row(y, members))
                         y = mul(y, x)
                     bigger = current.fork().extend([x])
                     key = frozenset(bigger.members)
@@ -840,7 +860,7 @@ def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
 def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
     """Every subgroup exactly once, ascending by order then member tuple,
     from one level-by-level walk of forked closures up from the trivial
-    subgroup.  From each subgroup H it forks once per right coset H x, and
+    subgroup.  From each subgroup H it forks once per left coset x H, and
     that one fork also covers the cosets of the other generators of <x>
     (see `_overgroups`)."""
     return list(_overgroups(group, ()))

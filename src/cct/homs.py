@@ -26,6 +26,13 @@ representative of each conjugacy class in its slot, and `hom_count`
 weighs each homomorphism found by its class size.  `iter_homs`,
 `enumerate_homs`, `isomorphism` and `hom_image_lifts` keep the full walk
 and its lexicographic order.
+
+A cyclic domain, whose minimal generating set is one element m1 of order
+n, needs no walk: the walk's only check is m1^n = 1, which every
+candidate in m1's slot passes, so Hom(Z/n, X) is the slot itself.
+`hom_count` sums its class sizes, the socle takes its class
+representatives as images (`hom_class_images`), and `hom_image_lifts`
+lifts every coset in it.
 """
 
 from __future__ import annotations
@@ -273,7 +280,8 @@ def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup
     homomorphisms, and the image of every homomorphism is a conjugate of
     one map's image.  The trivial domain's one map sends its identity,
     taken as m1, to the identity, whose class is itself.  Left out of
-    `__all__`: `hom_count`, the socle and `check_invariants` call it.
+    `__all__`: `hom_count`, `hom_class_images` and `check_invariants` call
+    it.
     """
     _check_hom_domain(domain)
     mgs = minimal_generating_set(domain)
@@ -281,6 +289,28 @@ def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup
     classes = _slot_classes(codomain, domain.element_order(m1))
     return m1, classes, _hom_maps(domain, codomain.mul, _dividing_orders(codomain),
                                   first=classes)
+
+
+def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int]:
+    """The images of the domain's generators under each homomorphism of
+    `hom_class_walk`, hom by hom, so that every homomorphism's image is
+    conjugate to the subgroup that one hom's images generate.
+
+    A cyclic domain needs no walk: the homomorphism m1 -> r exists for
+    every class representative r, and its image is <r>, so the
+    representatives themselves are yielded.  Left out of `__all__`: the
+    socle calls it.
+    """
+    _, classes, maps = hom_class_walk(domain, codomain)
+    if _is_cyclic(domain):
+        return iter(classes)
+    return (y for full in maps for y in _compose(domain.generators, full))
+
+
+def _is_cyclic(domain: FiniteGroup) -> bool:
+    """At most one minimal generator m1: the homomorphisms out of the
+    domain are then m1's slot, with no walk (see the module docstring)."""
+    return len(minimal_generating_set(domain)) <= 1
 
 
 def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
@@ -346,7 +376,8 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
     coset_of[x], whose representative is reps[coset_of[x]], and N is coset
     0.  The walk of `_hom_maps` runs on the labels with the product
     coset_of[reps[a] reps[b]], and the slot of a generator of order m holds
-    the cosets r N with r^m in N, so no quotient group is built.  The lifts
+    the cosets r N with r^m in N, so no quotient group is built.  A cyclic
+    domain skips the walk and lifts every coset of m1's slot.  The lifts
     generate, together with N, the preimage of the subgroup of group/N that
     the images generate.  Left out of `__all__`: its one caller is
     `coreflections.radical`.
@@ -364,6 +395,9 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
         return out
 
     mgs = minimal_generating_set(domain)
+    if len(mgs) == 1:  # cyclic (the trivial domain has no m1 and no lifts)
+        yield from map(reps.__getitem__, slot(domain.element_order(mgs[0])))
+        return
     for full in _hom_maps(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slot):
         for g in mgs:
             yield reps[full[g]]
@@ -416,8 +450,11 @@ def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup) -> list[Homomorph
 def hom_count(domain: FiniteGroup, codomain: FiniteGroup) -> int:
     """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
     the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
-    send the first minimal generator to the class's least element r."""
+    send the first minimal generator to the class's least element r.  For
+    a cyclic domain every N_r is 1."""
     m1, class_size, maps = hom_class_walk(domain, codomain)
+    if _is_cyclic(domain):
+        return sum(class_size.values())
     return sum(class_size[full[m1]] for full in maps)
 
 

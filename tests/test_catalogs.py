@@ -365,7 +365,7 @@ def test_subgroup_walks_grow_forked_closures(monkeypatch):
 
 
 def test_subgroup_walk_forks_once_per_coset_class(monkeypatch):
-    # one fork per right coset H x, shared by the generators of <x>
+    # one fork per left coset x H, shared by the generators of <x>
     forks = 0
     fork = cct.groups._Closure.fork
 
@@ -400,6 +400,42 @@ def test_factorization_stops_at_the_level_of_its_first_class_member(name, monkey
     found = cct.factor_through_class(hom, name)
     assert found.members == frozenset(hom.full_map)
     assert forks <= 30
+
+
+@pytest.mark.parametrize("name, domain, target", [
+    ("2-group", "z3", "s3"), ("3-group", "z2", "s3"), ("abelian", "s3", "s4"),
+    ("cyclic", "v4", "a4"), ("trivial", "z2", "d8")])
+def test_built_in_class_failing_at_the_image_proves_none(name, domain, target,
+                                                         standard_groups, monkeypatch):
+    # a built-in class is closed under subgroups, so no overgroup of an image
+    # outside it lies in it: the walk ends at the image's own level, unforked
+    # ('all' holds on every image, so it has no failing case)
+    group = standard_groups[target]
+    hom = next(h for h in cct.enumerate_homs(standard_groups[domain], group) if h.is_injective())
+    predicate = resolve_class_predicate(name)
+    image = set(hom.full_map)
+    assert not any(image <= sub.members and predicate(sub) for sub in cct.all_subgroups(group))
+    forks = 0
+    fork = cct.groups._Closure.fork
+
+    def counting_fork(self):
+        nonlocal forks
+        forks += 1
+        return fork(self)
+
+    monkeypatch.setattr(cct.groups._Closure, "fork", counting_fork)
+    assert cct.factor_through_class(hom, name) is None
+    assert forks == 0
+
+
+def test_registered_class_keeps_the_full_walk(standard_groups, monkeypatch):
+    # a registered predicate, even under a built-in name, promises no closure
+    # under subgroups: <(1 2)> fails "order >= 6" but S3 above it holds
+    s3 = standard_groups["s3"]
+    hom = next(h for h in cct.enumerate_homs(standard_groups["z2"], s3) if any(h.full_map))
+    for name in ("order-at-least-6", "abelian"):
+        monkeypatch.setitem(cct.catalogs._CLASS_PREDICATES, name, lambda sub: sub.order >= 6)
+        assert cct.factor_through_class(hom, name).order == 6
 
 
 def test_overgroups_are_yielded_by_order_then_members(standard_groups):

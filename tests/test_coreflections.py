@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cct
+from test_groups import random_groups
 
 
 def brute_socle(gen_groups, target):
@@ -96,6 +97,82 @@ def test_socle_of_cyclic_is_generated_by_torsion(data):
     group = cct.from_permutations(data.draw(st.lists(perms, min_size=1, max_size=3)), degree)
     torsion = [x for x in range(group.order) if n % group.element_order(x) == 0]
     assert cct.socle(cct.cyclic(n), group) == cct.subgroup_generated(group, torsion)
+
+
+def full_walk_radical(factors, target):
+    """Oracle: the radical chain with every hom found by the full `iter_homs`
+    walk, into the target and into each quotient by the last stage."""
+    def image_closure(group):
+        images = {y for f in factors for hom in cct.iter_homs(f, group) for y in hom.full_map}
+        return cct.subgroup_generated(group, images)
+
+    stages = [image_closure(target)]
+    while stages[-1].order < target.order:
+        qmap = cct.quotient(target, stages[-1])
+        upstairs = image_closure(qmap.target).members
+        stage = cct.Subgroup(
+            target, [x for x in range(target.order) if qmap.projection[x] in upstairs])
+        if stage.order == stages[-1].order:
+            break
+        stages.append(stage)
+    return stages
+
+
+# abelian([2, 3]) is cyclic, but neither stored generator is its m1
+CYCLIC_GENERATORS = {"z2": (cct.cyclic(2),), "z3": (cct.cyclic(3),), "z4": (cct.cyclic(4),),
+                     "z6": (cct.cyclic(6),), "z2xz3": (cct.abelian([2, 3]),),
+                     "z2*z4": (cct.cyclic(2), cct.cyclic(4))}
+
+
+def _long_chain_groups():
+    """Z/16 on a table and Z/8 on permutations: under Z/2 their chains have
+    a stage for every power of 2, which drawn groups of degree 5 lack."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 0)
+        z8 = cct.from_permutations([(1, 2, 3, 4, 5, 6, 7, 0)], 8)
+    return [cct.cyclic(16), z8]
+
+
+@settings(max_examples=80)
+@given(random_groups() | st.sampled_from(_long_chain_groups()),
+       st.sampled_from(sorted(CYCLIC_GENERATORS)))
+def test_cyclic_generators_skip_the_walk_and_match_it(group, key):
+    # Hom(Z/n, G) is the set of y with y^n = 1, read off without a walk
+    factors = CYCLIC_GENERATORS[key]
+    assert all(len(cct.minimal_generating_set(f)) == 1 for f in factors)
+    for f in factors:
+        assert cct.hom_count(f, group) == sum(1 for _ in cct.iter_homs(f, group)), key
+    chain = cct.radical(cct.GeneratorSpec(factors), group)
+    assert list(chain.stages) == full_walk_radical(factors, group), key
+    assert cct.socle(cct.GeneratorSpec(factors), group) == chain.stages[0]
+
+
+def test_cyclic_factors_dividing_another_are_not_walked(monkeypatch, catalog24):
+    # Z/a is a quotient of Z/b when a | b, so its homs are among Z/b's
+    walked = []
+    images, lifts = cct.coreflections.hom_class_images, cct.coreflections.hom_image_lifts
+
+    def counting_images(domain, target):
+        walked.append(domain.order)
+        return images(domain, target)
+
+    def counting_lifts(domain, *args):
+        walked.append(domain.order)
+        return lifts(domain, *args)
+
+    monkeypatch.setattr(cct.coreflections, "hom_class_images", counting_images)
+    monkeypatch.setattr(cct.coreflections, "hom_image_lifts", counting_lifts)
+    spec = cct.truncated_generator(2, 3)
+    for entry in catalog24:
+        cct.radical(spec, entry.group)
+    assert set(walked) == {8}
+    # of the equal Z/6 and abelian([2, 3]) the last is kept; Z/3 divides 6
+    factors = (cct.cyclic(4), cct.symmetric(3), cct.cyclic(6), cct.abelian([2, 3]), cct.cyclic(3))
+    walked.clear()
+    z12 = cct.cyclic(12)  # the socle is whole only after the last walked factor
+    images_of_all = {y for f in factors for hom in cct.iter_homs(f, z12) for y in hom.full_map}
+    assert cct.socle(cct.GeneratorSpec(factors), z12) == cct.subgroup_generated(z12, images_of_all)
+    assert walked == [4, 6, 6]
 
 
 def test_socle_stops_once_it_has_the_whole_target():

@@ -496,6 +496,41 @@ def test_subgroup_generated_matches_naive_closure(data):
     assert group.order % sub.order == 0
 
 
+@st.composite
+def random_groups(draw):
+    """A group generated by up to three permutations of degree at most 5,
+    on a Cayley table or, with the table cap at 0, on its permutations."""
+    degree = draw(st.integers(1, 5))
+    perms = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as mp:
+        if draw(st.booleans()):
+            mp.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 0)
+        return cct.from_permutations(perms, degree)
+
+
+def naive_left_cosets(group, members):
+    """Oracle: (coset_of, reps) of the left cosets x N, each built by
+    multiplying x into every member, numbered by least element."""
+    cosets = [frozenset(group.mul(x, k) for k in members) for x in range(group.order)]
+    distinct = list(dict.fromkeys(cosets))
+    return [distinct.index(c) for c in cosets], [min(c) for c in distinct]
+
+
+@settings(max_examples=100)
+@given(random_groups(), st.data())
+def test_left_coset_closure_and_labels_match_naive_oracles(group, data):
+    # each seed's closure adds whole left cosets (t r) H, one row product each
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    closure = cct.groups._Closure(group)
+    for k, x in enumerate(seeds):
+        closure.add(x)
+        assert closure.members == naive_closure(group, seeds[:k + 1])
+    x = data.draw(st.integers(0, group.order - 1))
+    members = sorted(closure.members)
+    assert list(group.mul_row(x, members)) == [group.mul(x, y) for y in members]
+    assert cct.groups._cosets(group, closure.members) == naive_left_cosets(group, members)
+
+
 def test_normal_closure_examples(standard_groups):
     s3, s4, z6 = standard_groups["s3"], standard_groups["s4"], standard_groups["z6"]
     transposition = next(x for x in range(1, 6) if s3.element_order(x) == 2)
