@@ -36,6 +36,7 @@ from .coreflections import (
 from .errors import (
     BudgetExceeded,
     CctError,
+    InputTooLarge,
     NotAGroup,
     NotNormal,
     OrderBudgetExceeded,

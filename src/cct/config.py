@@ -1,7 +1,8 @@
 """Tunable limits, each read from this module when the call is made.
 
 Every limit is a budget: an operation that would grow past it raises
-OrderBudgetExceeded or BudgetExceeded and never truncates or samples.
+OrderBudgetExceeded, BudgetExceeded or InputTooLarge and never truncates
+or samples.
 CCT_ORDER_MAX overrides ORDER_MAX_DEFAULT; coset enumeration alone also
 takes its budget per call (`max_cosets`), since its callers size it.
 """
@@ -24,6 +25,13 @@ SUBGROUP_ENUM_MAX = 128
 HOM_DOMAIN_MAX = 512
 
 DEFAULT_MAX_COSETS = 10**6
+
+# Inputs that are cheap to write but costly to expand, checked before they
+# are built: the letters one presentation spells out once its powers are
+# expanded, and the degree of a permutation.
+PRESENTATION_LETTERS_MAX = 10**6
+
+PERM_DEGREE_MAX = 10**4
 
 
 def order_max() -> int:

@@ -32,6 +32,21 @@ class OrderBudgetExceeded(CctError):
         self.limit = limit
 
 
+class InputTooLarge(CctError, ValueError):
+    """An input is larger than a configured limit allows, found before it is built.
+
+    `what` names the input, `size` is its size and `limit` the limit it
+    exceeds.  Like the ValueErrors of the constructors, spec files report
+    it with its line.
+    """
+
+    def __init__(self, what: str, size: int, limit: int):
+        super().__init__(f"{what} {size} exceeds the limit {limit}")
+        self.what = what
+        self.size = size
+        self.limit = limit
+
+
 class BudgetExceeded(CctError):
     """Coset enumeration ran out of cosets.
 

@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import config
-from .errors import NotAGroup, NotNormal, OrderBudgetExceeded
+from .errors import InputTooLarge, NotAGroup, NotNormal, OrderBudgetExceeded
 
 __all__ = [
     "FiniteGroup",
@@ -333,11 +333,13 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     without an inverse, or None when no identity exists.  Associativity is
     Light's test over a generating set: the elements g with (ag)c = a(gc)
     for all a, c are closed under products, so checking the generators
-    checks every element, in O(n^2) per generator.  The whole-row passes
-    run in C: the entry check by `isinstance`, `min` and `max` per row (an
-    entry-by-entry loop only names the bad entry), the inverse search by
-    `row.index` over the identities in x's row, and Light's test as one
-    `_compose(row_g, row_a)` per pair (g, a), the row of a(gc) over all c.
+    checks every element, in O(n^2) per generator.  The whole-table passes
+    run in C: the entry check as one pass collecting the entry types, each
+    a subclass of int, and one collecting the distinct values, each in
+    range(n) (a row-by-row scan only names the first bad entry), the inverse
+    search by `row.index` over the identities in x's row, and Light's test
+    as one `_compose(row_g, row_a)` per pair (g, a), the row of a(gc) over
+    all c.
     """
     n = len(table)
     if n == 0:
@@ -346,11 +348,12 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     for i, row in enumerate(table):
         row = tuple(row)
         if len(row) != n:
+            _name_bad_entry(rows, n)  # a bad entry in an earlier row is named first
             raise ValueError(f"table is not square at row {i}")
-        if not (all(map(isinstance, row, repeat(int))) and 0 <= min(row) and max(row) < n):
-            bad = next(x for x in row if not isinstance(x, int) or not 0 <= x < n)
-            raise ValueError(f"table entry {bad!r} out of range at row {i}")
         rows.append(row)
+    if not (all(issubclass(t, int) for t in set(map(type, chain.from_iterable(rows))))
+            and set(chain.from_iterable(rows)) <= set(range(n))):
+        _name_bad_entry(rows, n)
 
     identity = None
     for e in range(n):
@@ -389,6 +392,14 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     return _from_mul(n, mul, sorted(gens), labels, identity)
 
 
+def _name_bad_entry(rows: list[tuple], n: int):
+    """Raise ValueError naming the first entry of `rows` that is not an int in range(n)."""
+    for i, row in enumerate(rows):
+        for x in row:
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise ValueError(f"table entry {x!r} out of range at row {i}")
+
+
 def cycle_notation(perm: Sequence[int]) -> str:
     """1-based disjoint-cycle string for a 0-based permutation tuple."""
     seen = [False] * len(perm)
@@ -407,9 +418,17 @@ def cycle_notation(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "()"
 
 
+def _check_degree(degree: int):
+    """Raise InputTooLarge before a permutation of this degree is built."""
+    if degree > config.PERM_DEGREE_MAX:
+        raise InputTooLarge("permutation degree", degree, config.PERM_DEGREE_MAX)
+
+
 def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int, ...]:
     """0-based permutation tuple from cycles of points 1..degree, composed
-    left to right."""
+    left to right.  A degree above `config.PERM_DEGREE_MAX` raises
+    InputTooLarge before anything is built."""
+    _check_degree(degree)
     result = tuple(range(degree))
     for cycle in cycles:
         points = [p - 1 for p in cycle]
@@ -427,7 +446,9 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int,
 
 
 def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup:
-    """Group generated by 0-based permutation tuples of the given degree."""
+    """Group generated by 0-based permutation tuples of the given degree,
+    at most `config.PERM_DEGREE_MAX` (InputTooLarge above it)."""
+    _check_degree(degree)
     identity = tuple(range(degree))
     gen_perms = [tuple(g) for g in gens]
     for g in gen_perms:

@@ -7,9 +7,12 @@ deterministic.  A generator with a relator s^2 or s^-2 has one table
 column, its own inverse, and the relators are reduced cyclically in those
 columns, so s^2 costs no scan.  A relator that is a rotation of itself or
 of its inverse is not scanned at a coset where that rotation shows it
-already closed at a smaller one, a scan that would change nothing.
-Coincidences are processed eagerly through a union-find that always keeps
-the lower-numbered coset alive.  One pass leaves every row complete and
+already closed at a smaller one, a scan that would change nothing.  Where
+the rotation is one letter, as for (s t)^m over involutions or b^n, this
+is decided once per coset: its descent mask, the columns that lead from it
+back to a smaller coset, picks the relators it must scan.  Coincidences
+are processed eagerly through a union-find that always keeps the
+lower-numbered coset alive.  One pass leaves every row complete and
 every relator cycle closed, since a coincidence only identifies cosets
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory, §5.1).  One
 exact check on the original relators confirms it over every coset at once,
@@ -29,7 +32,7 @@ import string
 from dataclasses import dataclass
 
 from . import config
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, InputTooLarge, ParseError
 from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose
 
 __all__ = [
@@ -176,6 +179,7 @@ class _PresentationParser:
         return tok
 
     def parse(self) -> Presentation:
+        self.limit = self.room = config.PRESENTATION_LETTERS_MAX  # letters left to spell out
         self.take("<", "'<'")
         names = [self.take("NAME", "generator name")[1]]
         while self.peek()[0] == ",":
@@ -201,10 +205,13 @@ class _PresentationParser:
 
     def relation(self) -> list[tuple[tuple[int, int], ...]]:
         # w1 = w2 = ... = wk contributes the relators w_i * w_{i+1}^-1
-        sides = [self.word()]
-        while self.peek()[0] == "=":
-            self.k += 1
+        sides = []
+        while True:
             sides.append(self.word())
+            self.room -= len(sides[-1])
+            if self.peek()[0] != "=":
+                break
+            self.k += 1
         if len(sides) == 1:
             return [sides[0]]
         out = []
@@ -218,6 +225,7 @@ class _PresentationParser:
         letters.extend(self.factor())
         while self.peek()[0] in ("NAME", "(") or (self.peek()[0] == "INT" and self.peek()[1] == "1"):
             letters.extend(self.factor())
+            self._spell(len(letters))
         return tuple(letters)
 
     def factor(self) -> tuple[tuple[int, int], ...]:
@@ -258,7 +266,13 @@ class _PresentationParser:
         if exp < 0:
             base = tuple((s, -e) for s, e in reversed(base))
             exp = -exp
+        self._spell(len(base) * exp)
         return base * exp
+
+    def _spell(self, n: int):
+        """Raise InputTooLarge unless `n` more letters fit in the limit."""
+        if n > self.room:
+            raise InputTooLarge("presentation letters", self.limit - self.room + n, self.limit)
 
 
 def parse_presentation(text: str) -> Presentation:
@@ -266,7 +280,9 @@ def parse_presentation(text: str) -> Presentation:
 
     Words are products of generators, inverses `g^-1`, powers `g^k` and
     parenthesized subwords with exponents; `w1 = w2 = 1` equation chains
-    are accepted and converted to relators.
+    are accepted and converted to relators.  The words, powers expanded,
+    may spell out at most `config.PRESENTATION_LETTERS_MAX` letters in
+    all; a power or word past that raises InputTooLarge before it is built.
     """
     return _PresentationParser(text).parse()
 
@@ -286,7 +302,14 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     closes at a coset exactly when it closes where a short column path
     from there leads (`_skip_paths`); if that path reaches a smaller coset,
     which was scanned before and stays closed, the scan would change
-    nothing and is skipped.  So the cosets defined, their order and the
+    nothing and is skipped.  One-letter paths are read once per coset, as
+    its descent mask: the columns x whose entry at the coset is defined and
+    smaller than it, taken when its turn starts.  A relator whose one-letter
+    path columns meet the mask is skipped; the relators left for each mask
+    are listed once per call.  Longer paths, as (a, b) for (a b)^7 with b
+    of order 3, are walked per relator.  An entry that points down stays
+    pointing down through coincidences, so each skip is still a scan that
+    would change nothing.  So the cosets defined, their order and the
     budgets are those of scanning every relator.  `max_cosets` bounds the
     cosets ever defined, dead ones included.  One HLT pass, closed by one
     exact check on the original presentation (Handbook §5.1): every live
@@ -314,12 +337,24 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             column[s, 1], column[s, -1] = c, c + 1
             inv += [c + 1, c]
     width = len(inv)
-    relators = []  # (word, inverse column of each letter, skip paths), in declared order
+    # (columns of its one-letter skip paths as a bitmask, (word, inverse
+    # column of each letter, longer skip paths)), in declared order
+    relators = []
+    one_letter = 0  # the columns of every one-letter path
     for rel in pres.relators:
         word = _cyclically_reduced(_compose(rel.letters, column), inv)
         if word:
             iword = _compose(word, inv)
-            relators.append((word, iword, _skip_paths(word, iword)))
+            bits, longer = 0, []
+            for path in _skip_paths(word, iword):
+                if len(path) == 1:
+                    bits |= 1 << path[0]
+                else:
+                    longer.append(path)
+            one_letter |= bits
+            relators.append((bits, (word, iword, longer)))
+    descents = [(x, 1 << x) for x in range(width) if one_letter >> x & 1]
+    to_scan: dict[int, list] = {}  # descent mask -> the relators it does not skip
 
     table: list[list[int | None] | None] = [[None] * width]
     parent = [0]
@@ -352,24 +387,30 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             queue.append(hi)
 
     def coincidence(a: int, b: int):
+        rows, up, inverse = table, parent, inv
         queue: list[int] = []
         merge(a, b, queue)
         for gamma in queue:  # merge appends while the loop runs
-            for x, delta in enumerate(table[gamma]):
+            for x, delta in enumerate(rows[gamma]):
                 if delta is None:
                     continue
-                ix = inv[x]
-                table[delta][ix] = None
-                mu, nu = rep(gamma), rep(delta)
-                if table[mu][x] is not None:
-                    merge(nu, table[mu][x], queue)
-                elif table[nu][ix] is not None:
-                    merge(mu, table[nu][ix], queue)
+                ix = inverse[x]
+                rows[delta][ix] = None
+                mu = gamma
+                while up[mu] != mu:
+                    mu = up[mu]
+                nu = delta
+                while up[nu] != nu:
+                    nu = up[nu]
+                if rows[mu][x] is not None:
+                    merge(nu, rows[mu][x], queue)
+                elif rows[nu][ix] is not None:
+                    merge(mu, rows[nu][ix], queue)
                 else:
-                    table[mu][x] = nu
-                    table[nu][ix] = mu
+                    rows[mu][x] = nu
+                    rows[nu][ix] = mu
             # a dead coset's row is never read again once its entries moved
-            table[gamma] = None
+            rows[gamma] = None
 
     def scan_and_fill(alpha: int, word: tuple[int, ...], iword: tuple[int, ...]):
         rows = table
@@ -398,8 +439,17 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     alpha = 0
     while alpha < len(table):
         if parent[alpha] == alpha:
-            for word, iword, paths in relators:
-                for path in paths:  # none unless the relator has a turn
+            row = table[alpha]
+            mask = 0  # the one-letter paths from alpha that reach a smaller coset
+            for x, bit in descents:
+                c = row[x]
+                if c is not None and c < alpha:
+                    mask |= bit
+            todo = to_scan.get(mask)
+            if todo is None:
+                todo = to_scan[mask] = [scan for skips, scan in relators if not skips & mask]
+            for word, iword, paths in todo:
+                for path in paths:  # only the paths of two or more letters
                     c = alpha
                     for x in path:
                         c = table[c][x]
@@ -465,13 +515,20 @@ def _skip_paths(word: tuple[int, ...], iword: tuple[int, ...]) -> tuple[tuple[in
     coset that word[q:] carries to α.  The paths are word[:q] for the least
     turn and (word[q:])^-1 for the greatest; they can differ in length, as
     for (a^-1 b^-1 a b)^4 with a an involution.  No paths if `word` has no
-    turn.
+    turn.  The rotation by q is `word` exactly when the period of `word`
+    (the length of its shortest root) divides q, and it is the inverse on
+    at most one class of q mod the period, since two such q differ by a
+    turn into `word`; so the turns are found without trying every rotation.
     """
     inverse = iword[::-1]
-    turns = [q for q in range(1, len(word)) if word[q:] + word[:q] in (word, inverse)]
-    if not turns:
+    n = len(word)
+    period = len(_root(word)[0])
+    first = next((q for q in range(1, period)
+                  if word[q] == inverse[0] and word[q:] + word[:q] == inverse), period)
+    if first == n:
         return ()
-    return word[:turns[0]], iword[turns[-1]:][::-1]
+    last = first + (n - 1 - first) // period * period  # the greatest turn
+    return word[:first], iword[last:][::-1]
 
 
 def _closes(ct: CosetTable, pres: Presentation) -> bool:

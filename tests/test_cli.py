@@ -191,6 +191,46 @@ def test_spec_file_huge_truncation_fails_fast(tmp_path):
     assert "truncated generator 3^100000000" in err
 
 
+PRESENTATIONS = [  # a presentation spelling out n letters, as a function of n
+    lambda n: f"< a | a^{n} >",
+    lambda n: f"< a, b | a^-{n - 3} b (b a)^-1 >",
+    lambda n: f"< a, b | a^{n // 2 - 1} = b^{n // 2 - 1}, a b >",
+]
+
+
+@pytest.mark.parametrize("limit,what,build,spec", [
+    ("PRESENTATION_LETTERS_MAX", "presentation letters",
+     lambda n, text=text: cct.parse_presentation(text(n)),
+     lambda n, text=text: f"group g = present {text(n)}")
+    for text in PRESENTATIONS
+] + [
+    ("PERM_DEGREE_MAX", "permutation degree",
+     lambda n: cct.perm_from_cycles([[1, 2]], n), lambda n: f"group t = perm {n} : (1 2)"),
+    ("PERM_DEGREE_MAX", "permutation degree",
+     lambda n: cct.from_permutations([], n), lambda n: f"group t = perm {n} :"),
+], ids=["power", "word", "relation", "perm_from_cycles", "from_permutations"])
+def test_oversized_inputs_fail_before_they_are_built(monkeypatch, tmp_path, limit, what,
+                                                     build, spec):
+    # the limits are read when the call is made, so a small one stands in
+    # for the default: an input of `size` builds, an input two letters or points
+    # larger raises InputTooLarge, and a spec file reports it with its line
+    size = 12
+    monkeypatch.setattr(cct.config, limit, size)
+    build(size)
+    with pytest.raises(cct.InputTooLarge) as exc:
+        build(size + 2)
+    assert (exc.value.what, exc.value.limit) == (what, size) and exc.value.size > size
+    text = f"group ok = cyclic 2\n{spec(size + 2)}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_spec_text(text)
+    assert exc.value.line == 2 and f"{what} " in str(exc.value)
+    path = tmp_path / "big.spec"
+    path.write_text(text)
+    code, out, err = invoke(["verify", "--spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2") and f"exceeds the limit {size}" in err
+
+
 def test_classify_command_with_spec(tmp_path):
     spec = tmp_path / "groups.spec"
     spec.write_text(

@@ -175,6 +175,8 @@ def test_from_cayley_rejects_malformed():
     ([[0, 1], [1, -1]], "table entry -1 out of range at row 1"),
     ([[0, 1], [2, 0]], "table entry 2 out of range at row 1"),
     ([[0, 1, 2], [1, 2, 0], [2, 5, 1.0]], "table entry 5 out of range at row 2"),
+    ([[0, -1], [1]], "table entry -1 out of range at row 0"),  # before the short row
+    ([[0, 1], [1, 0, 1]], "table is not square at row 1"),
 ])
 def test_from_cayley_names_the_first_bad_entry(table, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -575,6 +575,86 @@ def test_todd_coxeter_matches_standardised_hlt(text):
     assert standardise(ct) == ct
 
 
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=8), st.integers(1, 5))
+def test_skip_paths_are_the_least_and_greatest_turns(root, power):
+    # columns 0 and 1 are each other's inverse, so are 2 and 3, and column
+    # 4 is an involution's; words are powers, so they have turns of both kinds
+    inv = [1, 0, 3, 2, 4]
+    word = tuple(root) * power
+    iword = tuple(inv[x] for x in word)
+    inverse = iword[::-1]
+    turns = [q for q in range(1, len(word)) if word[q:] + word[:q] in (word, inverse)]
+    expected = (word[:turns[0]], iword[turns[-1]:][::-1]) if turns else ()
+    assert cct.presentations._skip_paths(word, iword) == expected
+
+
+def smallest_budget(pres):
+    """The smallest max_cosets with which `todd_coxeter` succeeds, at most
+    20000; a run that succeeds with some budget succeeds with every larger
+    one."""
+    lo, hi = 0, 20000
+    cct.todd_coxeter(pres, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            cct.todd_coxeter(pres, mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
+def enumeration(pres, budget):
+    """The table with `budget` and the live cosets when `budget` - 1 runs
+    out, None for budget 1; the run with `budget` - 1 must run out."""
+    ct = cct.todd_coxeter(pres, budget)
+    if budget == 1:
+        return ct, None
+    with pytest.raises(BudgetExceeded) as exc:
+        cct.todd_coxeter(pres, budget - 1)
+    return ct, exc.value.live
+
+
+def assert_skips_change_nothing(pres, budget):
+    # with no skip paths every relator is scanned at every live coset, so
+    # the skipped scans must have been no-ops: the same cosets are defined
+    # and the same budget runs out with the same cosets live
+    skipping = enumeration(pres, budget)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cct.presentations, "_skip_paths", lambda word, iword: ())
+        assert enumeration(pres, budget) == skipping
+
+
+@st.composite
+def trivial_generator_presentations(draw):
+    """A finite Coxeter presentation with one generator also a relator, at
+    any place: that generator's column then leads from a coset to itself,
+    which must not count as leading to a smaller coset."""
+    head, rels = draw(coxeter_presentations())[2:-2].split(" | ")
+    rels = rels.split(", ")
+    rels.insert(draw(st.integers(0, len(rels))), draw(st.sampled_from(head.split(", "))))
+    return f"< {head} | {', '.join(rels)} >"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coxeter_presentations(), trivial_generator_presentations(),
+                 rotation_symmetric_presentations()))
+def test_skipped_scans_change_nothing(text):
+    pres = cct.parse_presentation(text)
+    assert_skips_change_nothing(pres, smallest_budget(pres))
+
+
+@pytest.mark.parametrize("text,budget",
+                         [(entry[0], budget) for entry, budget in zip(PINNED_TABLES, PINNED_BUDGETS)]
+                         + [(entry[0], entry[2]) for entry in PINNED_SYMMETRIC]
+                         + [(coxeter_text(*FINITE_COXETER[7])[:-2] + ", s3 >", 13)],
+                         ids=PINNED_IDS + ["H3", "B4", "F4", "D4", "PSL27-symmetric", "7:3",
+                                           "A3-s3"])
+def test_skipped_scans_change_nothing_pinned(text, budget):
+    assert_skips_change_nothing(cct.parse_presentation(text), budget)
+
+
 def failing_cosets(ct, pres):
     """Oracle: trace every relator letter by letter from every coset."""
     inverse = [{p: i for i, p in enumerate(perm)} for perm in ct.action]
