@@ -33,7 +33,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .homs import Homomorphism, isomorphic
+from .homs import Homomorphism, isomorphic, minimal_generating_set
 from .presentations import parse_presentation, realize
 
 __all__ = [
@@ -185,8 +185,7 @@ def build_small_catalog(max_order: int) -> Catalog:
         add("q8", quaternion(), "quaternion")
     for m in range(3, max_order // 4 + 1):
         pres = _dicyclic_presentation(m)
-        add(f"dic{4 * m}", realize(parse_presentation(pres), budget_for(4 * m)),
-            f"present {pres}")
+        add(f"dic{4 * m}", realize(parse_presentation(pres)), f"present {pres}")
     for n in range(3, 5):
         if math.factorial(n) <= max_order:
             add(f"s{n}", symmetric(n), f"symmetric {n}")
@@ -207,11 +206,6 @@ def build_small_catalog(max_order: int) -> Catalog:
                 direct_product(left.group, right.group),
                 f"product {left.name}, {right.name}")
     return Catalog(entries)
-
-
-def budget_for(order: int) -> int:
-    """Coset budget with slack for the pre-coincidence overshoot."""
-    return max(64, 8 * order)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +270,8 @@ def _truncation_bounds(spec: GeneratorSpec) -> dict[int, int] | None:
     bounds: dict[int, int] = {}
     for factor in spec.factors:
         pp = _prime_power(factor.order)
-        if pp is None:
+        if pp is None or len(minimal_generating_set(factor)) != 1:
             return None
-        if not any(factor.element_order(x) == factor.order for x in range(factor.order)):
-            return None  # p-group but not cyclic
         p = pp[0]
         bounds[p] = max(bounds.get(p, 0), factor.order)
     return bounds

@@ -3,23 +3,21 @@
 The socle of a target under a generator is the subgroup generated by the
 images of all homomorphisms out of the generator's factors.  Conjugating a
 homomorphism gives another, so the socle is the normal closure of the
-images of the homomorphisms that send the first minimal generator to a
-conjugacy-class representative (`homs.hom_class_images`).  The radical
-grows the socle through an ascending chain: the next stage after N is the
-preimage of the socle of G/N, which is N joined with lifts of the images
-of all homomorphisms into G/N.  Those homomorphisms are found in G itself,
-by the hom walk run on the cosets of N (`homs.hom_image_lifts`), so no
-quotient group is built; the chain stops when a stage adds nothing.  By
-Lagrange, the image of a homomorphism from a factor A into G/N has an
-order dividing both |A| and [G:N], so a factor of order prime to the
-index maps trivially and is not walked; once no factor is left, the chain
-ends without labelling the cosets of N.  A cyclic factor Z/n needs no hom
-walk at all: its homomorphisms send m1 to the elements, or cosets, whose
-n-th power is trivial, so the socle takes the conjugacy-class
-representatives among them and each stage lifts every such coset.  A
-generator with several factors stands for their formal free product, whose
-homomorphisms are exactly tuples of factor homomorphisms, so the socle is
-computed factor-wise and the free product itself is never materialized.
+images of the homomorphisms walked up to conjugacy
+(`homs.hom_class_images`).  The radical grows the socle through an
+ascending chain: the next stage after N is the preimage of the socle of
+G/N, which is N joined with lifts of the images of all homomorphisms into
+G/N.  Those homomorphisms are found in G itself, by the hom walk run on
+the cosets of N (`homs.hom_image_lifts`), so no quotient group is built;
+the chain stops when a stage adds nothing.  By Lagrange, the image of a
+homomorphism from a factor A into G/N has an order dividing both |A| and
+[G:N], so a factor of order prime to the index maps trivially and is not
+walked; once no factor is left, the chain ends without labelling the
+cosets of N.  Both read a cyclic factor's homomorphisms off its slot with
+no walk (see `homs`).  A generator with several factors stands for their
+formal free product, whose homomorphisms are exactly tuples of factor
+homomorphisms, so the socle is computed factor-wise and the free product
+itself is never materialized.
 """
 
 from __future__ import annotations
@@ -90,13 +88,11 @@ def socle(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> Subgroup:
     """Subgroup generated by the images of all homomorphisms from `gen`.
 
     Raises OrderBudgetExceeded when a factor is too large to enumerate
-    homomorphisms from.  Only the homomorphisms that send a factor's first
-    minimal generator to a conjugacy-class representative are walked (a
-    cyclic factor's images are those representatives, with no walk): the
-    closure takes their generator images as the walk yields them, stops
-    walking once it is the whole target, and is then closed under
-    conjugation.  The result is normal, which is asserted before returning
-    a proper subgroup; the whole target is normal by definition.
+    homomorphisms from.  The closure takes the images of the homomorphisms
+    walked up to conjugacy as the walk yields them, stops walking once it
+    is the whole target, and is then closed under conjugation.  The result
+    is normal, which is asserted before returning a proper subgroup; the
+    whole target is normal by definition.
     """
     return _normal_stage(target, _socle_closure(_walked_factors(GeneratorSpec.of(gen)), target))
 
@@ -130,19 +126,14 @@ def _socle_closure(factors: list[FiniteGroup], target: FiniteGroup) -> _Closure:
 def radical(gen: GeneratorSpec | FiniteGroup, target: FiniteGroup) -> RadicalChain:
     """Ascending chain from the socle to the radical.
 
-    The stage after N is the preimage of the socle of target/N: a fork of
-    N's closure, extended by lifts of the images of every homomorphism from
-    each factor into target/N.  `homs.hom_image_lifts` finds those
-    homomorphisms on the cosets of N, labelled once per stage, so no
-    quotient group is built.  By Lagrange, the image of a homomorphism
-    from a factor A into target/N has an order dividing both |A| and
-    [target:N], so when they are coprime it is trivial and A is not walked;
-    when no factor is left, the chain ends before the cosets are labelled.
-    The chain stops when a stage adds nothing, which is when target/N
-    admits only trivial homomorphisms, or when it reaches the whole target;
-    each kept stage is at least twice the one before, so at most
-    log2 |target| steps occur.  Every proper stage is asserted normal, as
-    the socle is.
+    The stage after N is a fork of N's closure, extended by lifts of the
+    images of every homomorphism into target/N from each factor not
+    coprime to [target:N], found on the cosets of N, which are labelled
+    once per stage.  The chain stops when a stage adds nothing, which is
+    when target/N admits only trivial homomorphisms, or when it reaches the
+    whole target; each kept stage is at least twice the one before, so at
+    most log2 |target| steps occur.  Every proper stage is asserted normal,
+    as the socle is.
     """
     walked = _walked_factors(GeneratorSpec.of(gen))
     closure = _socle_closure(walked, target)
@@ -311,7 +302,7 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
                     for k in range(len(specs))
                     for kind, source in enumerate(seeds[k, a])
                     if source and stages[k][b][kind].order < dst.group.order]
-            for full in hom_class_walk(src.group, dst.group)[2] if todo else ():
+            for full in hom_class_walk(src.group, dst.group) if todo else ():
                 for item in todo:
                     k, check, source, members = item
                     if not members.issuperset(_compose(source, full)):

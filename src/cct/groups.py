@@ -693,20 +693,16 @@ class _Closure:
 
         Each accepted generator is conjugated by every generator of the
         group, and a new conjugate is accepted in turn, so `gens` grows
-        while it is read.  When no conjugate is new, conjugation by every
-        group generator maps the generators, hence the whole subgroup, into
-        itself, so the subgroup is normal.
+        while `_conjugates` reads it.  When no conjugate is new, conjugation
+        by every group generator maps the generators, hence the whole
+        subgroup, into itself, so the subgroup is normal.
         """
-        group = self.group
-        if group.is_abelian:  # every subgroup is normal
+        if self.group.is_abelian:  # every subgroup is normal
             return self
-        mul = group.mul
-        conjugators = [(g, group.inv(g)) for g in group.generators]
-        for x in self.gens:
+        for _, _, y in _conjugates(self.group, self.gens):
             if self.is_whole:
                 break
-            for g, ginv in conjugators:
-                self.add(mul(mul(g, x), ginv))
+            self.add(y)
         return self
 
     def subgroup(self) -> Subgroup:
@@ -726,16 +722,17 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return _closure_of(group, gens).subgroup()
 
 
-def _conjugates_outside(group: FiniteGroup,
-                        members: Collection[int]) -> Iterator[tuple[int, int, int]]:
-    """Every (g, x, g x g^-1), g a generator and x a member, with the conjugate
-    outside `members`; none exactly when conjugation preserves the subgroup."""
-    for g in group.generators:
-        ginv = group.inv(g)
-        for x in members:
-            y = group.mul(group.mul(g, x), ginv)
-            if y not in members:
-                yield g, x, y
+def _conjugates(group: FiniteGroup, xs: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(g, x, g x g^-1) for each x of `xs` in turn and each generator g of
+    the group.  `xs` is read as it is iterated, so a list may grow while it
+    is read: the one conjugation loop behind normal closures, normality
+    tests and conjugacy classes.  A subgroup is normal exactly when every
+    conjugate of its members stays in it."""
+    mul = group.mul
+    conjugators = [(g, group.inv(g)) for g in group.generators]
+    for x in xs:
+        for g, ginv in conjugators:
+            yield g, x, mul(mul(g, x), ginv)
 
 
 def normal_closure(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -748,7 +745,8 @@ def is_normal(group: FiniteGroup, sub: Subgroup) -> bool:
     """True iff conjugation by every generator preserves the subgroup."""
     if sub.parent is not group:
         raise ValueError("subgroup does not live in this group")
-    return next(_conjugates_outside(group, sub.members), None) is None
+    members = sub.members
+    return all(y in members for _, _, y in _conjugates(group, members))
 
 
 def _normal_stage(group: FiniteGroup, closure: _Closure) -> Subgroup:
@@ -781,13 +779,18 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     """Quotient by a normal subgroup; cosets labelled by their least element.
 
     The projection is checked exactly to be multiplicative: p(x g) =
-    p(x) p(g) for every element x and every generator g of the source.
+    p(x) p(g) for every element x and every generator g of the source.  A
+    kernel that is not normal raises NotNormal with the witness (g, x): x
+    the least member that some generator moves out, g the first such
+    generator, so the witness depends on the subgroup alone.
     """
     if kernel.parent is not group:
         raise ValueError("kernel does not live in this group")
-    bad = next(_conjugates_outside(group, kernel.members), None)
+    members = kernel.members
+    bad = next(((g, x) for g, x, y in _conjugates(group, kernel.sorted_members())
+                if y not in members), None)
     if bad is not None:
-        raise NotNormal(witness=bad[:2])
+        raise NotNormal(witness=bad)
 
     coset_of, reps = _cosets(group, kernel.members)
     m = len(reps)

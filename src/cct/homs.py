@@ -21,18 +21,21 @@ homomorphisms into a quotient without building it.
 
 Questions that conjugation in the codomain does not change walk homs only
 up to conjugacy: `hom_count`, the socle and the functoriality checks of
-`coreflections.check_invariants` (`hom_class_walk`) let m1 run over one
-representative of each conjugacy class in its slot, and `hom_count`
-weighs each homomorphism found by its class size.  `iter_homs`,
+`coreflections.check_invariants` let m1 run over the least element r of
+each conjugacy class in its slot (`_first_classes`).  If c r c^-1 = x,
+conjugation by c maps the homomorphisms with m1 -> r one to one onto
+those with m1 -> x, so each one walked stands for |class(r)|
+homomorphisms, by which `hom_count` weighs it, and the image of every
+homomorphism is a conjugate of a walked one's image.  `iter_homs`,
 `enumerate_homs`, `isomorphism` and `hom_image_lifts` keep the full walk
 and its lexicographic order.
 
 A cyclic domain, whose minimal generating set is one element m1 of order
 n, needs no walk: the walk's only check is m1^n = 1, which every
 candidate in m1's slot passes, so Hom(Z/n, X) is the slot itself.
-`hom_count` sums its class sizes, the socle takes its class
-representatives as images (`hom_class_images`), and `hom_image_lifts`
-lifts every coset in it.
+`_hom_images` applies that rule for `hom_count`, the socle's images and
+the radical's lifts; only callers that need whole maps walk a cyclic
+domain.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import OrderBudgetExceeded
-from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose,
+from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose, _conjugates,
                      _first_bad_edge, _prime_factorization, normal_closure,
                      subgroup_generated)
 
@@ -234,83 +237,82 @@ def _dividing_orders(group: FiniteGroup) -> Callable[[int], list[int]]:
 def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
     """The conjugacy classes of the group among its elements whose order
     divides m: the least element of each class, in index order, mapped to
-    the class size.
+    the class size; cached per group and m.
 
     Each class is the orbit of its least element under conjugation by the
     group's generators, so the work is |slot| |generators| conjugations,
     not one per element of the group.  An abelian group's classes are its
-    elements; they are not cached, being the full walk's slot.
+    elements, read off without orbits.
     """
-    if group.is_abelian:
-        return dict.fromkeys(_dividing_orders(group)(m), 1)
     cached = _SLOT_CLASSES.get(group)
     if cached is None:
         cached = _SLOT_CLASSES[group] = {}
     elif m in cached:
         return cached[m]
-    mul = group.mul
-    conjugators = [(g, group.inv(g)) for g in group.generators]
-    seen = set()
-    classes = {}
-    for x in _dividing_orders(group)(m):
-        if x in seen:
-            continue
-        seen.add(x)
-        orbit = [x]
-        for y in orbit:
-            for g, ginv in conjugators:
-                z = mul(mul(g, y), ginv)
+    slot = _dividing_orders(group)(m)
+    if group.is_abelian:
+        classes = dict.fromkeys(slot, 1)
+    else:
+        seen: set[int] = set()
+        classes = {}
+        for x in slot:
+            if x in seen:
+                continue
+            seen.add(x)
+            orbit = [x]
+            for _, _, z in _conjugates(group, orbit):
                 if z not in seen:
                     seen.add(z)
                     orbit.append(z)
-        classes[x] = len(orbit)
+            classes[x] = len(orbit)
     cached[m] = classes
     return classes
 
 
-def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup
-                   ) -> tuple[int, dict[int, int], Iterator[tuple[int, ...]]]:
-    """The first minimal generator m1 of the domain, its slot's conjugacy
-    classes in the codomain (`_slot_classes`), and the full maps of the
-    homomorphisms domain -> codomain that send m1 to a class's least
-    element.
-
-    If c r c^-1 = x, conjugation by c maps the homomorphisms with m1 -> r
-    one to one onto those with m1 -> x.  So each map stands for |class(r)|
-    homomorphisms, and the image of every homomorphism is a conjugate of
-    one map's image.  The trivial domain's one map sends its identity,
-    taken as m1, to the identity, whose class is itself.  Left out of
-    `__all__`: `hom_count`, `hom_class_images` and `check_invariants` call
-    it.
-    """
+def _first_classes(domain: FiniteGroup, codomain: FiniteGroup) -> dict[int, int]:
+    """The codomain's conjugacy classes in the slot of the domain's first
+    minimal generator m1, the identity for the trivial domain."""
     _check_hom_domain(domain)
     mgs = minimal_generating_set(domain)
-    m1 = mgs[0] if mgs else 0
-    classes = _slot_classes(codomain, domain.element_order(m1))
-    return m1, classes, _hom_maps(domain, codomain.mul, _dividing_orders(codomain),
-                                  first=classes)
+    return _slot_classes(codomain, domain.element_order(mgs[0] if mgs else 0))
+
+
+def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The full maps of the homomorphisms domain -> codomain that send m1
+    to the least element of a class of `_first_classes`: one per
+    homomorphism up to conjugacy.  Left out of `__all__`:
+    `check_invariants` calls it.
+    """
+    return _hom_maps(domain, codomain.mul, _dividing_orders(codomain),
+                     first=_first_classes(domain, codomain))
 
 
 def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int]:
-    """The images of the domain's generators under each homomorphism of
-    `hom_class_walk`, hom by hom, so that every homomorphism's image is
-    conjugate to the subgroup that one hom's images generate.
-
-    A cyclic domain needs no walk: the homomorphism m1 -> r exists for
-    every class representative r, and its image is <r>, so the
-    representatives themselves are yielded.  Left out of `__all__`: the
-    socle calls it.
+    """The images of the domain's minimal generators under each
+    homomorphism that sends m1 to a class's least element, hom by hom, so
+    that every homomorphism's image is conjugate to the subgroup that one
+    hom's images generate.  Left out of `__all__`: the socle calls it.
     """
-    _, classes, maps = hom_class_walk(domain, codomain)
-    if _is_cyclic(domain):
-        return iter(classes)
-    return (y for full in maps for y in _compose(domain.generators, full))
+    classes = _first_classes(domain, codomain)
+    return itertools.chain.from_iterable(
+        _hom_images(domain, codomain.mul, _dividing_orders(codomain), classes))
 
 
-def _is_cyclic(domain: FiniteGroup) -> bool:
-    """At most one minimal generator m1: the homomorphisms out of the
-    domain are then m1's slot, with no walk (see the module docstring)."""
-    return len(minimal_generating_set(domain)) <= 1
+def _hom_images(domain: FiniteGroup, mul: Callable[[int, int], int],
+                slot: Callable[[int], list[int]],
+                first: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """The images of the minimal generating set under each homomorphism of
+    `_hom_maps(domain, mul, slot, first=first)`, in its order.
+
+    A cyclic domain needs no walk: each label a of m1's slot, or of
+    `first`, which must lie in that slot, is one homomorphism (a,) (see the
+    module docstring).
+    """
+    mgs = minimal_generating_set(domain)
+    if len(mgs) == 1:
+        labels = slot(domain.element_order(mgs[0])) if first is None else first
+        return ((a,) for a in labels)
+    return (_compose(mgs, full) for full in _hom_maps(domain, mul, slot, first=first))
 
 
 def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
@@ -330,7 +332,7 @@ def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
     group being built (`hom_image_lifts`).  `first`, when given, replaces
     the slot of the first minimal generator m1 and may hold any labels:
     the walk then yields exactly the homomorphisms that send m1 into it
-    (`hom_class_walk` passes one element per conjugacy class).
+    (one element per conjugacy class, up to conjugacy).
 
     A depth-first walk over the generators' slots: the image of m_j runs
     the j-th step list of `_chain_steps` on the map built so far, and the
@@ -374,10 +376,9 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
 
     N is a normal subgroup given by its coset labels: x lies in coset
     coset_of[x], whose representative is reps[coset_of[x]], and N is coset
-    0.  The walk of `_hom_maps` runs on the labels with the product
+    0.  `_hom_images` runs on the labels with the product
     coset_of[reps[a] reps[b]], and the slot of a generator of order m holds
-    the cosets r N with r^m in N, so no quotient group is built.  A cyclic
-    domain skips the walk and lifts every coset of m1's slot.  The lifts
+    the cosets r N with r^m in N, so no quotient group is built.  The lifts
     generate, together with N, the preimage of the subgroup of group/N that
     the images generate.  Left out of `__all__`: its one caller is
     `coreflections.radical`.
@@ -394,13 +395,8 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
                 out.append(c)
         return out
 
-    mgs = minimal_generating_set(domain)
-    if len(mgs) == 1:  # cyclic (the trivial domain has no m1 and no lifts)
-        yield from map(reps.__getitem__, slot(domain.element_order(mgs[0])))
-        return
-    for full in _hom_maps(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slot):
-        for g in mgs:
-            yield reps[full[g]]
+    images = _hom_images(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slot)
+    return (reps[a] for hom in images for a in hom)
 
 
 def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
@@ -450,12 +446,11 @@ def enumerate_homs(domain: FiniteGroup, codomain: FiniteGroup) -> list[Homomorph
 def hom_count(domain: FiniteGroup, codomain: FiniteGroup) -> int:
     """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
     the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
-    send the first minimal generator to the class's least element r.  For
-    a cyclic domain every N_r is 1."""
-    m1, class_size, maps = hom_class_walk(domain, codomain)
-    if _is_cyclic(domain):
-        return sum(class_size.values())
-    return sum(class_size[full[m1]] for full in maps)
+    send the first minimal generator m1 to the class's least element r."""
+    classes = _first_classes(domain, codomain)
+    images = _hom_images(domain, codomain.mul, _dividing_orders(codomain), classes)
+    return sum(classes[hom[0]] if hom else 1  # the trivial domain has one hom
+               for hom in images)
 
 
 def image(hom: Homomorphism) -> Subgroup:

@@ -139,9 +139,9 @@ class _Lexer:
                 if c != "*":
                     self.tokens.append((c, c, i))
                 i += 1
-            elif c.isdigit():
+            elif c.isdecimal():  # digits int() reads; not '²'
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.tokens.append(("INT", text[i:j], i))
                 i = j

@@ -84,7 +84,7 @@ def _ints(text: str, lineno: int, what: str) -> list[int]:
         raise _fail(lineno, 0, f"missing {what}", "comma-separated integers")
     out = []
     for p in parts:
-        if not p.lstrip("-").isdigit():
+        if not p.lstrip("-").isdecimal():
             raise _fail(lineno, 0, f"bad integer {p!r} in {what}", "an integer")
         out.append(int(p))
     return out

@@ -114,6 +114,32 @@ def test_spec_file_constructor_error_names_its_line(line, message):
     assert str(exc.value).startswith(f"line {lineno}, ") and str(exc.value).endswith(message)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("group = cyclic 2", "cannot parse definition"),
+    ("group x = abelian", "missing abelian factors"),
+    ("group x = cyclic ²", "bad integer '²' in cyclic order"),
+    ("group x = product", "missing product factors"),
+    ("group x = product 1a, ok", "bad name '1a' in product factors"),
+    ("group x = quaternion 8", "quaternion takes no arguments"),
+    ("group x = product ok", "product takes exactly two names"),
+    ("group x = product ok, gs", "product factors must be groups"),
+    ("group x = perm : (1 2)", "cannot parse perm spec"),
+    ("group x = perm 0 : (1)", "permutation degree must be positive"),
+    ("group x = perm 3 : (1 2) x", "stray text 'x' in cycles"),
+    ("group x = present a | a^2", "presentation must be enclosed in <...>"),
+    ("group x = present < a | a^2 > extra", "unexpected trailing text 'extra'"),
+    ("group x = present < a | b >", "in presentation: "),
+    ("genspec g = truncated 2", "truncated takes a prime and a depth"),
+    ("genspec g = nonsense ok", "unknown genspec constructor 'nonsense'"),
+])
+def test_spec_file_syntax_errors_name_their_line(line, message):
+    text = f"group ok = cyclic 2\ngenspec gs = truncated 2 2\n{line}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_spec_text(text)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3, ") and message in str(exc.value)
+
+
 def test_builtin_names():
     assert builtin_group("z6").order == 6
     assert builtin_group("s4").order == 24

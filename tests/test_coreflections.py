@@ -197,14 +197,14 @@ def test_socle_stops_once_it_has_the_whole_target():
 def test_socle_checks_normality_only_of_a_proper_subgroup(monkeypatch):
     s5 = cct.symmetric(5)
     calls = 0
-    conjugates_outside = cct.groups._conjugates_outside
+    is_normal = cct.groups.is_normal
 
-    def counting(group, members):
+    def counting(group, sub):
         nonlocal calls
-        calls += group is s5  # the hom search also runs it on the domain
-        return conjugates_outside(group, members)
+        calls += group is s5
+        return is_normal(group, sub)
 
-    monkeypatch.setattr(cct.groups, "_conjugates_outside", counting)
+    monkeypatch.setattr(cct.groups, "is_normal", counting)
     assert cct.socle(cct.cyclic(2), s5).order == 120
     assert calls == 0
     assert cct.socle(cct.cyclic(3), s5).order == 60
@@ -353,6 +353,42 @@ def test_check_invariants_reports_a_planted_wrong_socle(monkeypatch):
     assert failures[0] == {"check": "socle-functoriality", "gen": "z2", "target": "z2->z4",
                            "witness": "gen images (2,)"}
     assert all(f["witness"].startswith("gen images (") for f in failures)
+
+
+def cyclic_subgroup(group, order):
+    """The subgroup of the cyclic group with this order."""
+    return cct.subgroup_generated(
+        group, [next(x for x in range(group.order) if group.element_order(x) == order)])
+
+
+@pytest.mark.parametrize("n,orders,failures", [
+    # Z/24 under Z/2: a socle outside the radical can only be planted
+    # together with another fault, here a socle that is not its own socle
+    (24, (3, 8), [("socle-in-radical", "socle order 3 not inside radical order 8"),
+                  ("socle-idempotence", "socle order 3")]),
+    (16, (2, 2, 4, 8, 16), [("chain-doubling", "stage orders (2, 2, 4, 8, 16)")]),
+    # a chain too long for log2 |G| cannot keep doubling
+    (16, (2, 2, 2, 4, 8, 16), [("chain-doubling", "stage orders (2, 2, 2, 4, 8, 16)"),
+                               ("chain-length", "6 stages")]),
+    (16, (2, 4, 8), [("quotient-triviality", "hom with images (1,)")]),
+    (16, (4, 8, 16), [("socle-idempotence", "socle order 4")]),
+    (15, (1, 3), [("radical-idempotence", "radical order 3")]),
+])
+def test_check_invariants_reports_each_planted_fault(monkeypatch, n, orders, failures):
+    # one cyclic target of order above 12, so no functoriality check runs;
+    # its true chain under Z/2 passes every check
+    target = cct.cyclic(n)
+    catalog = cct.Catalog([cct.CatalogEntry(f"z{n}", target, f"cyclic {n}")])
+    spec = [("z2", cct.cyclic(2))]
+    assert cct.check_invariants(spec, catalog) == (7, [])
+    planted = cct.RadicalChain(target, tuple(cyclic_subgroup(target, k) for k in orders))
+    radical = cct.coreflections.radical
+    monkeypatch.setattr(cct.coreflections, "radical",
+                        lambda gen, group: planted if group is target else radical(gen, group))
+    checks, found = cct.check_invariants(spec, catalog)
+    assert checks == 7
+    assert found == [{"check": check, "gen": "z2", "target": f"z{n}", "witness": witness}
+                     for check, witness in failures]
 
 
 def test_radical_skips_factors_coprime_to_the_index(monkeypatch):

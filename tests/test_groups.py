@@ -607,6 +607,25 @@ def test_quotient_rejects_non_normal(standard_groups):
     assert conj not in cct.subgroup_generated(s3, [transposition]).members
 
 
+def test_not_normal_witness_depends_on_the_subgroup_alone():
+    # a frozenset's iteration order follows insertion order where members
+    # collide, so the same subgroup built from its members in two orders
+    # must still name the least member that a generator moves out, and the
+    # first such generator
+    s5 = cct.symmetric(5)
+    for sub in cct.all_subgroups(s5):
+        if cct.is_normal(s5, sub):
+            continue
+        witnesses = []
+        for members in (sub.sorted_members(), sub.sorted_members()[::-1]):
+            with pytest.raises(NotNormal) as exc:
+                cct.quotient(s5, cct.Subgroup(s5, members))
+            witnesses.append(exc.value.witness)
+        moved = [(g, x) for x in sub.sorted_members() for g in s5.generators
+                 if s5.mul(s5.mul(g, x), s5.inv(g)) not in sub]
+        assert witnesses == [moved[0]] * 2
+
+
 # ---------------------------------------------------------------------------
 # all_subgroups
 

@@ -84,6 +84,15 @@ def test_parse_missing_close():
     assert "'>'" in exc.value.expected or "end of input" in str(exc.value)
 
 
+def test_parse_superscript_digit_is_an_unexpected_character():
+    # '²' is a digit to str.isdigit but not one int() reads; '٣' is both
+    with pytest.raises(ParseError) as exc:
+        cct.parse_presentation("< a | a^² >")
+    assert (exc.value.line, exc.value.column) == (1, 8)
+    assert "unexpected character '²'" in str(exc.value)
+    assert cct.parse_presentation("< a | a^٣ >") == cct.parse_presentation("< a | a^3 >")
+
+
 def test_parse_unknown_generator():
     with pytest.raises(ParseError):
         cct.parse_presentation("<a | a b>")

@@ -95,3 +95,50 @@ def test_public_surface_matches_all():
                              if alias.name not in module.__all__]
     assert stale == []
     assert unlisted == []
+
+
+def is_conjugator_pair(node):
+    """A pair (g, inv(g)): a generator beside its inverse."""
+    return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Name)
+            and isinstance(node.elts[1], ast.Call) and name_of(node.elts[1].func) == "inv"
+            and [ast.dump(arg) for arg in node.elts[1].args] == [ast.dump(node.elts[0])])
+
+
+def is_one_generator_test(node):
+    """A comparison of a minimal generating set's length with 1, the set
+    being a call of `minimal_generating_set` or the name `mgs`."""
+    if not (isinstance(node, ast.Compare) and len(node.comparators) == 1):
+        return False
+    sides = [node.left, node.comparators[0]]
+
+    def is_length(side):
+        if not (isinstance(side, ast.Call) and name_of(side.func) == "len" and side.args):
+            return False
+        arg = side.args[0]
+        return name_of(arg) == "mgs" or (isinstance(arg, ast.Call)
+                                         and name_of(arg.func) == "minimal_generating_set")
+
+    return (any(map(is_length, sides))
+            and any(isinstance(side, ast.Constant) and side.value == 1 for side in sides))
+
+
+def test_one_conjugation_loop_and_one_cyclic_domain_rule():
+    """Only `groups._conjugates` pairs the group's generators with their
+    inverses to conjugate by them.  Only `homs._hom_images` reads a cyclic
+    domain's homomorphisms off its slot; the other tests for a one-element
+    minimal generating set pick which factors to walk
+    (`coreflections._walked_factors`) or bound (`catalogs._truncation_bounds`)
+    and run no hom search."""
+    pairs, cyclic_tests = [], []
+    for path in sorted(SRC.glob("*.py")):
+        pairs += nodes_outside(path, is_conjugator_pair, {"_conjugates"})
+        cyclic_tests += nodes_outside(path, is_one_generator_test,
+                                      {"_hom_images", "_walked_factors", "_truncation_bounds"})
+    assert pairs == []
+    assert cyclic_tests == []
+    # each finder sees the one place it allows
+    assert [scope for *_, scope in nodes_outside(SRC / "groups.py", is_conjugator_pair, set())
+            ] == ["_conjugates"]
+    assert [scope for *_, scope in nodes_outside(SRC / "homs.py", is_one_generator_test, set())
+            ] == ["_hom_images"]
