@@ -16,7 +16,6 @@ from .catalogs import (
     build_small_catalog,
     classify_up_to_iso,
     factor_through_class,
-    register_class_predicate,
     socle_equals_radical,
     truncated_generator,
 )

@@ -22,7 +22,6 @@ from .errors import OrderBudgetExceeded
 from .groups import (
     FiniteGroup,
     Subgroup,
-    _overgroups,
     _prime_factorization,
     abelian,
     alternating,
@@ -33,7 +32,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .homs import Homomorphism, isomorphic, minimal_generating_set
+from .homs import Homomorphism, image, isomorphic, minimal_generating_set
 from .presentations import parse_presentation, realize
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "classify_up_to_iso",
     "socle_equals_radical",
     "factor_through_class",
-    "register_class_predicate",
     "resolve_class_predicate",
 ]
 
@@ -334,14 +332,6 @@ def socle_equals_radical(gen: GeneratorSpec | FiniteGroup, catalog: Catalog) -> 
 # bounded factorization check
 
 
-_CLASS_PREDICATES: dict[str, Callable[[Subgroup], bool]] = {}
-
-
-def register_class_predicate(name: str, fn: Callable[[Subgroup], bool]) -> None:
-    """Register a user-asserted membership predicate under a name."""
-    _CLASS_PREDICATES[name] = fn
-
-
 def _is_p_subgroup(sub: Subgroup, p: int) -> bool:
     n = sub.order
     while n % p == 0:
@@ -351,9 +341,7 @@ def _is_p_subgroup(sub: Subgroup, p: int) -> bool:
 
 def resolve_class_predicate(name: str) -> Callable[[Subgroup], bool]:
     """Named predicates: 'N-group' for prime N, 'abelian', 'cyclic',
-    'trivial', 'all', plus anything registered."""
-    if name in _CLASS_PREDICATES:
-        return _CLASS_PREDICATES[name]
+    'trivial', 'all'."""
     m = re.fullmatch(r"(\d+)-group", name)
     if m:
         p = int(m.group(1))
@@ -377,25 +365,15 @@ def resolve_class_predicate(name: str) -> Callable[[Subgroup], bool]:
 
 
 def factor_through_class(hom: Homomorphism, class_predicate: str) -> Subgroup | None:
-    """First subgroup (canonical order) in the class containing the image.
+    """The image <im> of the hom when it lies in the named class, else None.
 
-    Only the overgroups of the image are walked, grown from its closure one
-    element at a time and yielded one order level at a time, so the walk
-    stops at the first level that holds a class member.  A sound
-    sufficient test for the bounded factorization property: when a
-    subgroup M in the class contains the image, the map factors as
-    K -> M -> H.
-
-    The built-in classes ('N-group', 'abelian', 'cyclic', 'trivial',
-    'all') are closed under subgroups and quotients, so the walk stops
-    after the image's own level, and None is a proof: a factorization
-    K -> M -> H through a class member M puts the image inside the image
-    of M, a class member, so <image> is one too.  A registered predicate
-    carries no such promise; it gets the full walk, and its None only says
-    that no subgroup of H in the class contains the image.
+    When a subgroup M in the class contains the image, the map factors as
+    K -> M -> H.  The named classes ('N-group', 'abelian', 'cyclic',
+    'trivial', 'all') are closed under subgroups and quotients, so the image
+    alone decides, and None is a proof: a factorization K -> M -> H through
+    a class member M puts the image inside the image of M, a class member,
+    so <im> is one too.
     """
     predicate = resolve_class_predicate(class_predicate)
-    overgroups = _overgroups(hom.codomain, hom.full_map)
-    if class_predicate not in _CLASS_PREDICATES:
-        overgroups = itertools.islice(overgroups, 1)
-    return next((sub for sub in overgroups if predicate(sub)), None)
+    sub = image(hom)
+    return sub if predicate(sub) else None

@@ -15,7 +15,7 @@ look the product up in a hash index: "permutation-composition" for
 permutation groups, "element-index" for the rest.  The row product
 `mul_row(x, ys)`, x times each element of a sequence, is one `_compose`
 of ys through row x on a table and one `mul` per element otherwise; the
-closures, coset labels and overgroup walks multiply whole cosets with it.
+closures, coset labels and the subgroup walk multiply whole cosets with it.
 Inverses come from the BFS tree by one rule for both.  A group never
 changes after construction; only its element-order and abelian-flag
 caches are filled lazily.
@@ -827,64 +827,44 @@ def _first_bad_edge(domain: FiniteGroup, codomain: FiniteGroup,
     return None
 
 
-def _overgroups(group: FiniteGroup, seeds: Iterable[int]) -> Iterator[Subgroup]:
-    """Every subgroup containing `seeds`, ascending by order then member
-    tuple, yielded one order level at a time.
+def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
+    """Every subgroup exactly once, ascending by order then member tuple.
 
-    Those are exactly the subgroups reached from <seeds> one element at a
-    time, so each is grown from a fork of a strictly smaller one's closure.
-    From a subgroup H, elements x that must give the same overgroup <H, x>
-    share one fork, by two rules:
+    Every subgroup is reached from the trivial one an element at a time,
+    so each is grown from a fork of a smaller one's closure.  From a
+    subgroup H, elements x that must give the same <H, x> share one fork,
+    by two rules:
 
     - <H, x> = <H, x h> for every h in H, so one x per left coset x H;
     - <H, x> = <H, x^k> for every k prime to the order of x, so that fork
       also covers the cosets x^k H of the other generators of <x>.
 
     The elements covered so far from H are marked in one set, at one row
-    product per coset, which costs less than one fork.  Closures wait in
-    one list per order and the least order is forked first.  A fork is
-    bigger than the closure it grows from, so once every smaller subgroup
-    has been forked, the closures waiting at the least order k are every
-    subgroup of order k.  That level is yielded, sorted, before its own
-    forks are grown: a caller that stops in it grows nothing above it.
-    The budget is checked before any closure is grown.
+    product per coset, which costs less than one fork.  Each new closure
+    joins one list, which is read as it grows, so each is forked once in
+    the order found.  The budget is checked before any closure is grown.
     """
     if group.order > config.SUBGROUP_ENUM_MAX:
         raise OrderBudgetExceeded(config.SUBGROUP_ENUM_MAX, "subgroup enumeration")
     mul, mul_row = group.mul, group.mul_row
     orders = group.element_orders()
-    start = _closure_of(group, seeds)
-    key = frozenset(start.members)
-    known = {key}
-    pending = {len(key): [(key, start)]}
-    while pending:
-        level = sorted(((Subgroup(group, key, _checked=True), current)
-                        for key, current in pending.pop(min(pending))),
-                       key=lambda pair: pair[0].sorted_members())
-        for sub, _ in level:
-            yield sub
-        for _, current in level:
-            members = list(current.members)
-            covered = set(members)
-            for x in range(group.order):
-                if x not in covered:
-                    m = orders[x]
-                    y = x
-                    for k in range(1, m):
-                        if y not in covered and math.gcd(k, m) == 1:
-                            covered.update(mul_row(y, members))
-                        y = mul(y, x)
-                    bigger = current.fork().extend([x])
-                    key = frozenset(bigger.members)
-                    if key not in known:
-                        known.add(key)
-                        pending.setdefault(len(key), []).append((key, bigger))
-
-
-def all_subgroups(group: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup exactly once, ascending by order then member tuple,
-    from one level-by-level walk of forked closures up from the trivial
-    subgroup.  From each subgroup H it forks once per left coset x H, and
-    that one fork also covers the cosets of the other generators of <x>
-    (see `_overgroups`)."""
-    return list(_overgroups(group, ()))
+    closures = [_Closure(group)]
+    known = {frozenset(closures[0].members)}
+    for current in closures:
+        members = list(current.members)
+        covered = set(members)
+        for x in range(group.order):
+            if x not in covered:
+                m = orders[x]
+                y = x
+                for k in range(1, m):
+                    if y not in covered and math.gcd(k, m) == 1:
+                        covered.update(mul_row(y, members))
+                    y = mul(y, x)
+                bigger = current.fork().extend([x])
+                key = frozenset(bigger.members)
+                if key not in known:
+                    known.add(key)
+                    closures.append(bigger)
+    subs = [Subgroup(group, key, _checked=True) for key in known]
+    return sorted(subs, key=lambda sub: (sub.order, sub.sorted_members()))

@@ -40,6 +40,15 @@ __all__ = ["parse_spec_file", "parse_spec_text", "resolve_name", "builtin_group"
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _CYCLE_RE = re.compile(r"\(\s*([0-9\s,]*?)\s*\)")
 
+# The families named by one integer: spec-file constructor -> (built-in
+# name prefix, what the integer counts, builder).
+_ONE_INT_FAMILIES = {
+    "cyclic": ("z", "order", cyclic),
+    "dihedral": ("d", "order", dihedral),
+    "symmetric": ("s", "degree", symmetric),
+    "alternating": ("a", "degree", alternating),
+}
+
 
 def parse_spec_file(path, default_budget: int | None = None) -> dict:
     """Parse a spec file into an environment of named groups and genspecs."""
@@ -84,7 +93,7 @@ def _ints(text: str, lineno: int, what: str) -> list[int]:
         raise _fail(lineno, 0, f"missing {what}", "comma-separated integers")
     out = []
     for p in parts:
-        if not p.lstrip("-").isdecimal():
+        if not p.removeprefix("-").isdecimal():
             raise _fail(lineno, 0, f"bad integer {p!r} in {what}", "an integer")
         out.append(int(p))
     return out
@@ -114,20 +123,15 @@ def _one_int(text: str, lineno: int, head: str, what: str) -> int:
 def _parse_group_rhs(rhs: str, lineno: int, env: dict, default_budget: int | None) -> FiniteGroup:
     head, _, rest = rhs.partition(" ")
     rest = rest.strip()
-    if head == "cyclic":
-        return cyclic(_one_int(rest, lineno, head, "order"))
+    if head in _ONE_INT_FAMILIES:
+        _, what, build = _ONE_INT_FAMILIES[head]
+        return build(_one_int(rest, lineno, head, what))
     if head == "abelian":
         return abelian(_ints(rest, lineno, "abelian factors"))
-    if head == "dihedral":
-        return dihedral(_one_int(rest, lineno, head, "order"))
     if head == "quaternion":
         if rest:
             raise _fail(lineno, 0, "quaternion takes no arguments", "end of line")
         return quaternion()
-    if head == "symmetric":
-        return symmetric(_one_int(rest, lineno, head, "degree"))
-    if head == "alternating":
-        return alternating(_one_int(rest, lineno, head, "degree"))
     if head == "product":
         parts = _names(rest, lineno, env, "product factors")
         if len(parts) != 2:
@@ -212,7 +216,8 @@ def _parse_genspec_rhs(rhs: str, lineno: int, env: dict) -> GeneratorSpec:
     raise _fail(lineno, 0, f"unknown genspec constructor {head!r}", "freeprod | truncated")
 
 
-_BUILTIN_RE = re.compile(r"(z|s|a|d)(\d+)$")
+_BUILTIN_RE = re.compile(r"([a-z])(\d+)$")
+_BUILTIN_FAMILIES = {prefix: build for prefix, _, build in _ONE_INT_FAMILIES.values()}
 
 
 def builtin_group(name: str) -> FiniteGroup | None:
@@ -222,16 +227,9 @@ def builtin_group(name: str) -> FiniteGroup | None:
     if name == "v4":
         return abelian([2, 2])
     m = _BUILTIN_RE.match(name)
-    if not m:
+    if not m or m.group(1) not in _BUILTIN_FAMILIES:
         return None
-    family, n = m.group(1), int(m.group(2))
-    if family == "z":
-        return cyclic(n)
-    if family == "s":
-        return symmetric(n)
-    if family == "a":
-        return alternating(n)
-    return dihedral(n)
+    return _BUILTIN_FAMILIES[m.group(1)](int(m.group(2)))
 
 
 def resolve_name(env: dict, name: str):

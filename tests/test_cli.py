@@ -118,6 +118,7 @@ def test_spec_file_constructor_error_names_its_line(line, message):
     ("group = cyclic 2", "cannot parse definition"),
     ("group x = abelian", "missing abelian factors"),
     ("group x = cyclic ²", "bad integer '²' in cyclic order"),
+    ("group x = cyclic --3", "bad integer '--3' in cyclic order"),
     ("group x = product", "missing product factors"),
     ("group x = product 1a, ok", "bad name '1a' in product factors"),
     ("group x = quaternion 8", "quaternion takes no arguments"),

@@ -316,11 +316,6 @@ def test_order_max_env_override(monkeypatch):
         cct.symmetric(3)
 
 
-def _z2_into_z200_factor_order():
-    hom = cct.enumerate_homs(cct.cyclic(2), cct.cyclic(200))[1]
-    return cct.factor_through_class(hom, "2-group").order
-
-
 def _s5_order():
     gens = [cct.perm_from_cycles([[1, 2, 3, 4, 5]], 5), cct.perm_from_cycles([[1, 2]], 5)]
     return cct.from_permutations(gens, 5).order
@@ -331,10 +326,8 @@ def _s5_order():
     ("HOM_DOMAIN_MAX", lambda: len(cct.enumerate_homs(cct.cyclic(20), cct.cyclic(2))), 20, 2),
     ("HOM_DOMAIN_MAX", lambda: cct.hom_count(cct.cyclic(20), cct.cyclic(2)), 20, 2),
     ("SUBGROUP_ENUM_MAX", lambda: len(cct.all_subgroups(cct.cyclic(200))), 200, 12),
-    ("SUBGROUP_ENUM_MAX", _z2_into_z200_factor_order, 200, 2),
     ("CCT_ORDER_MAX", _s5_order, 120, 120),
-], ids=["iter_homs", "enumerate_homs", "hom_count", "all_subgroups",
-        "factor_through_class", "from_permutations"])
+], ids=["iter_homs", "enumerate_homs", "hom_count", "all_subgroups", "from_permutations"])
 def test_limit_is_read_from_config(monkeypatch, limit, call, size, expected):
     """Each entry point raises once its limit, read from `config` (or
     CCT_ORDER_MAX) when called, falls below `size`, and gives its result
@@ -350,6 +343,16 @@ def test_limit_is_read_from_config(monkeypatch, limit, call, size, expected):
         call()
     set_limit(size)
     assert call() == expected
+
+
+@pytest.mark.parametrize("target", [lambda: cct.cyclic(200), lambda: cct.symmetric(6)],
+                         ids=["z200", "s6"])
+@pytest.mark.parametrize("name", ["2-group", "abelian"])
+def test_factor_through_class_enumerates_no_subgroups(monkeypatch, target, name):
+    # the image alone decides, so a target above the subgroup budget answers
+    monkeypatch.setattr(cct.config, "SUBGROUP_ENUM_MAX", 2)
+    hom = next(h for h in cct.enumerate_homs(cct.cyclic(2), target()) if any(h.full_map))
+    assert cct.factor_through_class(hom, name) == cct.image(hom)
 
 
 @pytest.mark.parametrize("family", ["symmetric", "alternating"])

@@ -77,6 +77,20 @@ def test_one_constructor_builds_every_group():
     assert cap_reads == []
 
 
+def test_one_subgroup_walk_reads_the_subgroup_budget():
+    """Only `groups.all_subgroups` walks the subgroup lattice, so only it
+    reads SUBGROUP_ENUM_MAX."""
+    def is_read(node):
+        return name_of(node) == "SUBGROUP_ENUM_MAX" and isinstance(node.ctx, ast.Load)
+
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        reads += nodes_outside(path, is_read, {"all_subgroups"})
+    assert reads == []
+    assert [scope for *_, scope in nodes_outside(SRC / "groups.py", is_read, set())
+            ] == ["all_subgroups", "all_subgroups"]
+
+
 def test_public_surface_matches_all():
     """Each module's `__all__` names only what the module defines, and the
     package re-exports from such a module only names listed there, so
