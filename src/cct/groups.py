@@ -65,11 +65,10 @@ class FiniteGroup:
     group's backing.
     """
 
-    def __init__(self, order, mul, inverses, generators, labels, backing, mul_row=None):
+    def __init__(self, order, mul, mul_row, inverses, generators, labels, backing):
         self.order = order
         self.mul = mul
-        if mul_row is not None:
-            self.mul_row = mul_row
+        self.mul_row = mul_row
         self.inv = inverses.__getitem__
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
@@ -77,13 +76,6 @@ class FiniteGroup:
         self._element_orders: list[int] | None = None
         self._orders_complete = False
         self._abelian: bool | None = None
-
-    def mul_row(self, x: int, ys: Sequence[int]) -> Sequence[int]:
-        """The products x y for each y in ys, in order.  A Cayley table reads
-        them off row x in one `_compose`; this fallback, for the other
-        backings, calls `mul` once per element."""
-        mul = self.mul
-        return [mul(x, y) for y in ys]
 
     def element_order(self, x: int) -> int:
         """Least m >= 1 with x^m = identity; always divides |G|.
@@ -218,6 +210,18 @@ class QuotientMap:
 # construction helpers
 
 
+def _power(mul: Callable, x, m: int):
+    """x^m under `mul` for m >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if m & 1:
+            result = x if result is None else mul(result, x)
+        m >>= 1
+        if not m:
+            return result
+        x = mul(x, x)
+
+
 def _compose(p: Sequence[int], q) -> tuple[int, ...]:
     """The tuple of q[p[i]] for each i: "p then q", (p*q)(i) = q(p(i)),
     matching right actions on cosets.
@@ -298,7 +302,7 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
         backing = "cayley-table"
     else:
         index_mul = lambda a, b: pos[mul(order[a], order[b])]
-        mul_row = None
+        mul_row = lambda a, ys: [index_mul(a, y) for y in ys]
     gen_invs = []
     for g in gen_idx:
         y = g
@@ -308,7 +312,7 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     inv = [0]
     for a in range(1, n):
         inv.append(index_mul(gen_invs[edge[a]], inv[parent[a]]))
-    return FiniteGroup(n, index_mul, inv, gen_idx or [0], labels, backing, mul_row), pos
+    return FiniteGroup(n, index_mul, mul_row, inv, gen_idx or [0], labels, backing), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],

@@ -19,12 +19,17 @@ homomorphisms into a quotient without building it.
 `groups._first_bad_edge` remains the check for a map given whole
 (`Homomorphism.validate`, quotients).
 
+Each caller hands the walk its input as one list of candidate images per
+minimal generator, built by the caller that knows the codomain: `_slots`
+for a group, the equal-order elements for `isomorphism`, the cosets r N
+with r^m in N for `hom_image_lifts`.
+
 Questions that conjugation in the codomain does not change walk homs only
 up to conjugacy: `hom_count`, the socle and the functoriality checks of
 `coreflections.check_invariants` let m1 run over the least element r of
-each conjugacy class in its slot (`_first_classes`).  If c r c^-1 = x,
-conjugation by c maps the homomorphisms with m1 -> r one to one onto
-those with m1 -> x, so each one walked stands for |class(r)|
+each conjugacy class in its slot (`_slots(..., classes=True)`).  If
+c r c^-1 = x, conjugation by c maps the homomorphisms with m1 -> r one to
+one onto those with m1 -> x, so each one walked stands for |class(r)|
 homomorphisms, by which `hom_count` weighs it, and the image of every
 homomorphism is a conjugate of a walked one's image.  `iter_homs`,
 `enumerate_homs`, `isomorphism` and `hom_image_lifts` keep the full walk
@@ -48,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import config
 from .errors import OrderBudgetExceeded
 from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose, _conjugates,
-                     _first_bad_edge, _prime_factorization, normal_closure,
+                     _first_bad_edge, _power, _prime_factorization, normal_closure,
                      subgroup_generated)
 
 __all__ = [
@@ -196,12 +201,7 @@ def _rank_lower_bound(group: FiniteGroup) -> int:
                    for a, b in itertools.combinations(gens, 2)]
     bound = 0
     for p, _ in _prime_factorization(group.order):
-        powers = []
-        for a in gens:
-            y = 0
-            for _ in range(p):
-                y = mul(y, a)
-            powers.append(y)
+        powers = [_power(mul, a, p) for a in gens]
         index = group.order // normal_closure(group, commutators + powers).order
         rank = 0
         while index > 1:
@@ -217,21 +217,29 @@ def iter_homs(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[Homomorphi
     Yields in lexicographic order of the image tuple of the minimal
     generating set (canonical element order of the codomain).
     """
-    _check_hom_domain(domain)
-    for full in _hom_maps(domain, codomain.mul, _dividing_orders(codomain)):
+    for full in _hom_maps(domain, codomain.mul, _slots(domain, codomain)):
         yield _make_hom(domain, codomain, full)
 
 
-def _check_hom_domain(domain: FiniteGroup) -> None:
+def _slots(domain: FiniteGroup, codomain: FiniteGroup,
+           classes: bool = False) -> list[Iterable[int]]:
+    """The walk's input into a group: per minimal generator of the domain,
+    of order m, the codomain elements whose order divides m, in index order.
+
+    With `classes`, the first slot is `_slot_classes` instead: one least
+    element per conjugacy class, mapped to the class size, which `hom_count`
+    weighs by.  The one check of the domain against HOM_DOMAIN_MAX.
+    """
     if domain.order > config.HOM_DOMAIN_MAX:
         raise OrderBudgetExceeded(config.HOM_DOMAIN_MAX, "hom enumeration domain")
+    ms = map(domain.element_order, minimal_generating_set(domain))
+    return [_slot_classes(codomain, m) if classes and j == 0 else _slot(codomain, m)
+            for j, m in enumerate(ms)]
 
 
-def _dividing_orders(group: FiniteGroup) -> Callable[[int], list[int]]:
-    """The slot function of the full walk into a group: for m, every element
-    whose order divides m, in index order."""
-    orders = group.element_orders()
-    return lambda m: [y for y, o in enumerate(orders) if m % o == 0]
+def _slot(group: FiniteGroup, m: int) -> list[int]:
+    """The elements of the group whose order divides m, in index order."""
+    return [y for y, o in enumerate(group.element_orders()) if m % o == 0]
 
 
 def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
@@ -249,7 +257,7 @@ def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
         cached = _SLOT_CLASSES[group] = {}
     elif m in cached:
         return cached[m]
-    slot = _dividing_orders(group)(m)
+    slot = _slot(group, m)
     if group.is_abelian:
         classes = dict.fromkeys(slot, 1)
     else:
@@ -269,22 +277,12 @@ def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
     return classes
 
 
-def _first_classes(domain: FiniteGroup, codomain: FiniteGroup) -> dict[int, int]:
-    """The codomain's conjugacy classes in the slot of the domain's first
-    minimal generator m1, the identity for the trivial domain."""
-    _check_hom_domain(domain)
-    mgs = minimal_generating_set(domain)
-    return _slot_classes(codomain, domain.element_order(mgs[0] if mgs else 0))
-
-
 def hom_class_walk(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[tuple[int, ...]]:
     """The full maps of the homomorphisms domain -> codomain that send m1
-    to the least element of a class of `_first_classes`: one per
-    homomorphism up to conjugacy.  Left out of `__all__`:
-    `check_invariants` calls it.
+    to the least element of a conjugacy class: one per homomorphism up to
+    conjugacy.  Left out of `__all__`: `check_invariants` calls it.
     """
-    return _hom_maps(domain, codomain.mul, _dividing_orders(codomain),
-                     first=_first_classes(domain, codomain))
+    return _hom_maps(domain, codomain.mul, _slots(domain, codomain, classes=True))
 
 
 def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int]:
@@ -293,46 +291,41 @@ def hom_class_images(domain: FiniteGroup, codomain: FiniteGroup) -> Iterator[int
     that every homomorphism's image is conjugate to the subgroup that one
     hom's images generate.  Left out of `__all__`: the socle calls it.
     """
-    classes = _first_classes(domain, codomain)
-    return itertools.chain.from_iterable(
-        _hom_images(domain, codomain.mul, _dividing_orders(codomain), classes))
+    slots = _slots(domain, codomain, classes=True)
+    return itertools.chain.from_iterable(_hom_images(domain, codomain.mul, slots))
 
 
 def _hom_images(domain: FiniteGroup, mul: Callable[[int, int], int],
-                slot: Callable[[int], list[int]],
-                first: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+                slots: Sequence[Iterable[int]]) -> Iterator[tuple[int, ...]]:
     """The images of the minimal generating set under each homomorphism of
-    `_hom_maps(domain, mul, slot, first=first)`, in its order.
+    `_hom_maps(domain, mul, slots)`, in its order.
 
-    A cyclic domain needs no walk: each label a of m1's slot, or of
-    `first`, which must lie in that slot, is one homomorphism (a,) (see the
-    module docstring).
+    A cyclic domain needs no walk: each label a of its one slot is one
+    homomorphism (a,) (see the module docstring).
     """
     mgs = minimal_generating_set(domain)
     if len(mgs) == 1:
-        labels = slot(domain.element_order(mgs[0])) if first is None else first
-        return ((a,) for a in labels)
-    return (_compose(mgs, full) for full in _hom_maps(domain, mul, slot, first=first))
+        return ((a,) for a in slots[0])
+    return (_compose(mgs, full) for full in _hom_maps(domain, mul, slots))
 
 
 def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
-              slot: Callable[[int], list[int]],
-              bijective: bool = False,
-              first: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """Full maps of the homomorphisms domain -> C, or of the bijective ones
-    only, in the slots' order of the minimal generating set's images.
+              slots: Sequence[Iterable[int]],
+              bijective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Full maps of the homomorphisms domain -> C that send each minimal
+    generator m_j into slots[j], or of the bijective ones only, in the
+    slots' order of the minimal generating set's images.
 
     What the walk needs from the codomain C: its elements as labels
     0, 1, ..., with 0 the identity; `mul`, the group product on those
-    labels; and `slot(m)`, the candidate images of a generator of order m,
-    which must include every label whose order divides m (equals m, for a
-    bijection) and may leave out the rest, since those never pass.  A
-    `FiniteGroup` gives its own product and element orders; the cosets of
-    a normal subgroup give the quotient's product without the quotient
-    group being built (`hom_image_lifts`).  `first`, when given, replaces
-    the slot of the first minimal generator m1 and may hold any labels:
-    the walk then yields exactly the homomorphisms that send m1 into it
-    (one element per conjugacy class, up to conjugacy).
+    labels; and `slots`, one list of candidate images per minimal
+    generator.  Slots that hold every label whose order divides their
+    generator's (equals it, for a bijection) give every homomorphism; the
+    other labels never pass and may be left out.  With one element per
+    conjugacy class in the first slot, every homomorphism is conjugate to
+    one walked.  A `FiniteGroup` gives its own product; the cosets of a
+    normal subgroup give the quotient's product without the quotient group
+    being built (`hom_image_lifts`).
 
     A depth-first walk over the generators' slots: the image of m_j runs
     the j-th step list of `_chain_steps` on the map built so far, and the
@@ -342,12 +335,9 @@ def _hom_maps(domain: FiniteGroup, mul: Callable[[int, int], int],
     abelian domain every tuple of equal-order images passes the edge
     checks, so this is the test that decides.
     """
-    mgs = minimal_generating_set(domain)
-    slots = [first if j == 0 and first is not None else slot(domain.element_order(g))
-             for j, g in enumerate(mgs)]
-    levels = _chain_steps(domain, mgs)
+    levels = _chain_steps(domain)
     f = [0] * domain.order
-    images = [0] * len(mgs)
+    images = [0] * len(levels)
 
     def walk(j: int) -> Iterator[tuple[int, ...]]:
         if j == len(levels):
@@ -384,25 +374,16 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
     `coreflections.radical`.
     """
     mul = group.mul
-
-    def slot(m: int) -> list[int]:
-        out = []
-        for c, r in enumerate(reps):
-            y = r
-            for _ in range(m - 1):
-                y = mul(y, r)
-            if coset_of[y] == 0:
-                out.append(c)
-        return out
-
-    images = _hom_images(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slot)
+    slots = [[c for c, r in enumerate(reps) if coset_of[_power(mul, r, m)] == 0]
+             for m in map(domain.element_order, minimal_generating_set(domain))]
+    images = _hom_images(domain, lambda a, b: coset_of[mul(reps[a], reps[b])], slots)
     return (reps[a] for hom in images for a in hom)
 
 
-def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
-    """Per generator gens[j], the steps that extend a map on
-    H_{j-1} = <gens[:j]> to H_j = <gens[:j+1]>, and the members of H_j.
-    `gens` is the domain's minimal generating set, which the cache assumes.
+def _chain_steps(domain: FiniteGroup) -> list[_Level]:
+    """Per generator gens[j] of the domain's minimal generating set, the
+    steps that extend a map on H_{j-1} = <gens[:j]> to H_j = <gens[:j+1]>,
+    and the members of H_j.
 
     A step (target, source, i, check) computes v = f(source) f(gens[i]).
     A defining step sets f(target) = v; the elements new to H_j are
@@ -416,6 +397,7 @@ def _chain_steps(domain: FiniteGroup, gens: tuple[int, ...]) -> list[_Level]:
     cached = _CHAIN_STEPS.get(domain)
     if cached is not None:
         return cached
+    gens = minimal_generating_set(domain)
     mul = domain.mul
     levels = []
     mapped = {0}
@@ -447,10 +429,9 @@ def hom_count(domain: FiniteGroup, codomain: FiniteGroup) -> int:
     """Number of homomorphisms: |Hom| = sum over the conjugacy classes of
     the codomain of |class(r)| N_r, where N_r counts the homomorphisms that
     send the first minimal generator m1 to the class's least element r."""
-    classes = _first_classes(domain, codomain)
-    images = _hom_images(domain, codomain.mul, _dividing_orders(codomain), classes)
-    return sum(classes[hom[0]] if hom else 1  # the trivial domain has one hom
-               for hom in images)
+    slots = _slots(domain, codomain, classes=True)
+    return sum(slots[0][hom[0]] if hom else 1  # the trivial domain has one hom
+               for hom in _hom_images(domain, codomain.mul, slots))
 
 
 def image(hom: Homomorphism) -> Subgroup:
@@ -473,8 +454,9 @@ def isomorphism(g: FiniteGroup, h: FiniteGroup) -> Homomorphism | None:
     if g.center_size() != h.center_size():
         return None
     orders = h.element_orders()
-    full = next(_hom_maps(g, h.mul, lambda m: [y for y, o in enumerate(orders) if o == m],
-                          bijective=True), None)
+    slots = [[y for y, o in enumerate(orders) if o == m]
+             for m in map(g.element_order, minimal_generating_set(g))]
+    full = next(_hom_maps(g, h.mul, slots, bijective=True), None)
     return None if full is None else _make_hom(g, h, full)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import BudgetExceeded, InputTooLarge, ParseError
-from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose
+from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose, _power
 
 __all__ = [
     "Word",
@@ -50,9 +50,6 @@ class Word:
     """A word in presentation generators: (symbol index, +1 or -1) letters."""
 
     letters: tuple[tuple[int, int], ...]
-
-    def inverse(self) -> "Word":
-        return Word(tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -77,6 +74,11 @@ def _reduce(letters) -> tuple[tuple[int, int], ...]:
         else:
             out.append((sym, e))
     return tuple(out)
+
+
+def _inverse(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The letters of the inverse word: reversed, each exponent negated."""
+    return tuple((s, -e) for s, e in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -214,11 +216,7 @@ class _PresentationParser:
             self.k += 1
         if len(sides) == 1:
             return [sides[0]]
-        out = []
-        for left, right in zip(sides, sides[1:]):
-            inv = tuple((s, -e) for s, e in reversed(right))
-            out.append(left + inv)
-        return out
+        return [left + _inverse(right) for left, right in zip(sides, sides[1:])]
 
     def word(self) -> tuple[tuple[int, int], ...]:
         letters: list[tuple[int, int]] = []
@@ -264,7 +262,7 @@ class _PresentationParser:
         exp_tok = self.take("INT", "an integer exponent")
         exp = sign * int(exp_tok[1])
         if exp < 0:
-            base = tuple((s, -e) for s, e in reversed(base))
+            base = _inverse(base)
             exp = -exp
         self._spell(len(base) * exp)
         return base * exp
@@ -556,7 +554,7 @@ def _closes(ct: CosetTable, pres: Presentation) -> bool:
         root, m = _root(rel.letters)
         perm = functools.reduce(_compose, [ct.action[s] if e > 0 else inverse[s]
                                            for s, e in root])
-        if _power(perm, m) != ident:
+        if _power(_compose, perm, m) != ident:
             return False
     return True
 
@@ -567,18 +565,6 @@ def _root(letters: tuple) -> tuple[tuple, int]:
     for d in range(1, n + 1):
         if n % d == 0 and letters[:d] * (n // d) == letters:
             return letters[:d], n // d
-
-
-def _power(perm: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """perm^m for m >= 1, by repeated squaring."""
-    result = None
-    while True:
-        if m & 1:
-            result = perm if result is None else _compose(result, perm)
-        m >>= 1
-        if not m:
-            return result
-        perm = _compose(perm, perm)
 
 
 def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:

@@ -37,7 +37,7 @@ from .presentations import parse_presentation, realize
 
 __all__ = ["parse_spec_file", "parse_spec_text", "resolve_name", "builtin_group"]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _CYCLE_RE = re.compile(r"\(\s*([0-9\s,]*?)\s*\)")
 
 # The families named by one integer: spec-file constructor -> (built-in
@@ -105,7 +105,7 @@ def _names(text: str, lineno: int, env: dict, what: str) -> list:
         raise _fail(lineno, 0, f"missing {what}", "comma-separated names")
     out = []
     for p in parts:
-        if not _NAME_RE.match(p):
+        if not _NAME_RE.fullmatch(p):
             raise _fail(lineno, 0, f"bad name {p!r} in {what}", "an identifier")
         if p not in env:
             raise UndefinedName(p, lineno)
@@ -216,7 +216,7 @@ def _parse_genspec_rhs(rhs: str, lineno: int, env: dict) -> GeneratorSpec:
     raise _fail(lineno, 0, f"unknown genspec constructor {head!r}", "freeprod | truncated")
 
 
-_BUILTIN_RE = re.compile(r"([a-z])(\d+)$")
+_BUILTIN_RE = re.compile(r"([a-z])(\d+)")
 _BUILTIN_FAMILIES = {prefix: build for prefix, _, build in _ONE_INT_FAMILIES.values()}
 
 
@@ -226,7 +226,7 @@ def builtin_group(name: str) -> FiniteGroup | None:
         return quaternion()
     if name == "v4":
         return abelian([2, 2])
-    m = _BUILTIN_RE.match(name)
+    m = _BUILTIN_RE.fullmatch(name)
     if not m or m.group(1) not in _BUILTIN_FAMILIES:
         return None
     return _BUILTIN_FAMILIES[m.group(1)](int(m.group(2)))

@@ -153,6 +153,14 @@ def test_builtin_names():
         resolve_name({}, "zz9")
 
 
+def test_builtin_name_must_match_whole():
+    # a `$` anchor also matched before a trailing newline, so "s3\n" was S3
+    with pytest.raises(UndefinedName):
+        resolve_name({}, "s3\n")
+    code, out, err = invoke(["socle", "--gen", "z2", "--target", "s3\n"])
+    assert code == 2 and out == ""
+
+
 # ---------------------------------------------------------------------------
 # commands
 

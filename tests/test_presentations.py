@@ -434,6 +434,13 @@ def test_todd_coxeter_is_standardised_hlt(text):
     assert cct.todd_coxeter(pres) == standardise(hlt_reference(pres))
 
 
+@pytest.mark.parametrize("text", [entry[0] for entry in PINNED_TABLES]
+                         + [cct.catalogs._dicyclic_presentation(m) for m in range(3, 17)])
+def test_presentation_text_parses_back(text):
+    pres = cct.parse_presentation(text)
+    assert cct.parse_presentation(pres.text()) == pres
+
+
 # smallest max_cosets with which `todd_coxeter` succeeds on each PINNED_TABLES
 # entry: an involution's s^2 costs no column and no scan, so the pass defines
 # fewer cosets than `hlt_reference` does

@@ -91,6 +91,20 @@ def test_one_subgroup_walk_reads_the_subgroup_budget():
             ] == ["all_subgroups", "all_subgroups"]
 
 
+def test_one_slot_builder_reads_the_hom_domain_budget():
+    """Only `homs._slots` builds the hom walk's candidates into a group, so
+    only it reads HOM_DOMAIN_MAX."""
+    def is_read(node):
+        return name_of(node) == "HOM_DOMAIN_MAX" and isinstance(node.ctx, ast.Load)
+
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        reads += nodes_outside(path, is_read, {"_slots"})
+    assert reads == []
+    assert [scope for *_, scope in nodes_outside(SRC / "homs.py", is_read, set())
+            ] == ["_slots", "_slots"]
+
+
 def test_public_surface_matches_all():
     """Each module's `__all__` names only what the module defines, and the
     package re-exports from such a module only names listed there, so
