@@ -17,13 +17,10 @@ from .catalogs import (
     factor_through_class,
 )
 from .coreflections import GeneratorSpec, check_invariants, hierarchy_report, radical, socle
-from .errors import CctError, UndefinedName
+from .errors import CctError
 from .groups import FiniteGroup, Subgroup
 from .homs import enumerate_homs, isomorphism
-from .specfile import parse_spec_file, resolve_name
-
-COMMANDS = ("socle", "radical", "homs", "iso", "classify", "hierarchy",
-            "factor", "verify", "catalog")
+from .specfile import builtin_group, parse_spec_file, resolve_name
 
 _BUILTIN_GENS = ("z2", "z3", "z4", "s3")
 
@@ -46,26 +43,16 @@ def _as_group(obj, name: str) -> FiniteGroup:
 
 
 def _resolve_inputs(env: dict, args) -> dict:
-    """The objects that --gen and --target name, each resolved once.
+    """The objects that --gen and --target name, for a command that reads them.
 
-    A command that needs both names fails on one that is missing or
-    undefined.  Otherwise a name is resolved only for the JSON report's
-    echo, which leaves out an undefined one.
+    Both names are required before either is resolved, and an undefined one
+    fails the command.  Only the commands that read the names call this; the
+    others resolve nothing, and their reports echo the names without orders.
     """
-    needed = args.command in _NEEDS_GEN_AND_TARGET
-    named = [(attr, getattr(args, attr)) for attr in ("gen", "target")]
-    for attr, name in named:
-        if needed and not name:
+    for attr in ("gen", "target"):
+        if not getattr(args, attr):
             raise ValueError(f"--{attr} is required for {args.command}")
-    inputs = {}
-    for attr, name in named:
-        if name and (needed or args.format == "json"):
-            try:
-                inputs[attr] = resolve_name(env, name)
-            except UndefinedName:
-                if needed:
-                    raise
-    return inputs
+    return {attr: resolve_name(env, getattr(args, attr)) for attr in ("gen", "target")}
 
 
 def _targets(env: dict, args) -> Catalog:
@@ -81,7 +68,7 @@ def _genspecs(env: dict) -> list[tuple[str, GeneratorSpec]]:
     specs = [(name, obj) for name, obj in env.items() if isinstance(obj, GeneratorSpec)]
     if specs:
         return specs
-    return [(name, GeneratorSpec.of(resolve_name({}, name))) for name in _BUILTIN_GENS]
+    return [(name, GeneratorSpec.of(builtin_group(name))) for name in _BUILTIN_GENS]
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +217,20 @@ def _cmd_verify(env, args, inputs):
     return result, lines, 1 if failures else 0
 
 
-_HANDLERS = {
-    "socle": _cmd_socle,
-    "radical": _cmd_radical,
-    "homs": _cmd_homs,
-    "iso": _cmd_iso,
-    "classify": _cmd_classify,
-    "hierarchy": _cmd_hierarchy,
-    "factor": _cmd_factor,
-    "verify": _cmd_verify,
-    "catalog": _cmd_catalog,
+# every command, in the parser's order: its handler, and whether it reads
+# --gen and --target
+_COMMAND_TABLE = {
+    "socle": (_cmd_socle, True),
+    "radical": (_cmd_radical, True),
+    "homs": (_cmd_homs, True),
+    "iso": (_cmd_iso, True),
+    "classify": (_cmd_classify, False),
+    "hierarchy": (_cmd_hierarchy, True),
+    "factor": (_cmd_factor, True),
+    "verify": (_cmd_verify, False),
+    "catalog": (_cmd_catalog, False),
 }
-
-_NEEDS_GEN_AND_TARGET = {"socle", "radical", "homs", "iso", "hierarchy", "factor"}
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 @functools.cache
@@ -263,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-order", dest="max_order", type=int,
                        default=12 if name == "verify" else 8,
                        help="bound for built-in catalogs")
-        p.add_argument("--budget", type=int, default=None,
-                       help="default coset budget for presentations")
         p.add_argument("--seed", type=int, default=0,
                        help="echoed in the JSON report; no command reads it")
         if name == "factor":
@@ -286,9 +272,10 @@ def run(argv, out=None, err=None) -> int:
 
     start = time.perf_counter()
     try:
-        env = parse_spec_file(args.spec, args.budget) if args.spec else {}
-        inputs = _resolve_inputs(env, args)
-        result, lines, code = _HANDLERS[args.command](env, args, inputs)
+        handler, reads_gen_and_target = _COMMAND_TABLE[args.command]
+        env = parse_spec_file(args.spec) if args.spec else {}
+        inputs = _resolve_inputs(env, args) if reads_gen_and_target else {}
+        result, lines, code = handler(env, args, inputs)
     except (CctError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 2
@@ -313,22 +300,20 @@ def run(argv, out=None, err=None) -> int:
 def _inputs_echo(args, inputs: dict) -> dict:
     orders = {}
     gen_factor_orders = None
-    for attr in ("gen", "target"):
-        if attr in inputs:
-            name, obj = getattr(args, attr), inputs[attr]
-            if isinstance(obj, GeneratorSpec):
-                gen_factor_orders = [f.order for f in obj.factors]
-                if len(obj.factors) == 1:
-                    orders[name] = obj.factors[0].order
-            else:
-                orders[name] = obj.order
+    for attr, obj in inputs.items():
+        name = getattr(args, attr)
+        if isinstance(obj, GeneratorSpec):
+            gen_factor_orders = [f.order for f in obj.factors]
+            if len(obj.factors) == 1:
+                orders[name] = obj.factors[0].order
+        else:
+            orders[name] = obj.order
     return {
         "gen": args.gen,
         "target": args.target,
         "spec": args.spec,
         "seed": args.seed,
         "max_order": args.max_order,
-        "budget": args.budget,
         "orders": orders,
         "gen_factor_orders": gen_factor_orders,
     }

@@ -348,6 +348,8 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     n = len(table)
     if n == 0:
         raise ValueError("table must be nonempty")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for a table of {n} elements")
     rows = []
     for i, row in enumerate(table):
         row = tuple(row)
@@ -519,28 +521,17 @@ def dihedral(order: int) -> FiniteGroup:
     return _from_mul(order, mul, gens, labels)
 
 
-_QUAT_MUL = {
-    # basis products in the unit quaternion group, (sign, basis) pairs
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-    ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-    ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-}
-
-
 def quaternion() -> FiniteGroup:
-    """The eight unit quaternions, multiplied through their basis products."""
-    units = [(1, "1"), (1, "i"), (1, "j"), (1, "k"), (-1, "1"), (-1, "i"), (-1, "j"), (-1, "k")]
-    pos = {u: x for x, u in enumerate(units)}
+    """The eight unit quaternions as a^i b^j (i < 4, j < 2) with a = i and
+    b = j: a^4 = 1, b^2 = a^2 and b a b^-1 = a^-1."""
 
     def mul(x: int, y: int) -> int:
-        s1, b1 = units[x]
-        s2, b2 = units[y]
-        s3, b3 = _QUAT_MUL[(b1, b2)]
-        return pos[(s1 * s2 * s3, b3)]
+        i1, j1 = x % 4, x // 4
+        i2, j2 = y % 4, y // 4
+        i = i1 - i2 + 2 * j2 if j1 else i1 + i2
+        return (j1 ^ j2) * 4 + i % 4
 
-    labels = [("-" if s < 0 else "") + b for s, b in units]
-    return _from_mul(8, mul, [1, 2], labels)
+    return _from_mul(8, mul, [1, 4], "1 i -1 -i j k -j -k".split())
 
 
 def _check_factorial(first: int, n: int, context: str) -> None:

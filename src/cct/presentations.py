@@ -124,7 +124,6 @@ _NAME_CHARS = set(string.ascii_letters + string.digits + "_")
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []
         self._run()
 

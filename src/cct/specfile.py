@@ -50,19 +50,19 @@ _ONE_INT_FAMILIES = {
 }
 
 
-def parse_spec_file(path, default_budget: int | None = None) -> dict:
+def parse_spec_file(path) -> dict:
     """Parse a spec file into an environment of named groups and genspecs."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec_text(fh.read(), default_budget)
+        return parse_spec_text(fh.read())
 
 
-def parse_spec_text(text: str, default_budget: int | None = None) -> dict:
+def parse_spec_text(text: str) -> dict:
     env: dict[str, FiniteGroup | GeneratorSpec] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        _parse_line(line, lineno, env, default_budget)
+        _parse_line(line, lineno, env)
     return env
 
 
@@ -70,7 +70,7 @@ def _fail(line: int, column: int, message: str, expected: str = "") -> ParseErro
     return ParseError(message, line=line, column=column, expected=expected)
 
 
-def _parse_line(line: str, lineno: int, env: dict, default_budget: int | None):
+def _parse_line(line: str, lineno: int, env: dict):
     m = re.match(r"(group|genspec)\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(.*)$", line)
     if not m:
         raise _fail(lineno, 0, f"cannot parse definition {line!r}",
@@ -80,7 +80,7 @@ def _parse_line(line: str, lineno: int, env: dict, default_budget: int | None):
         raise _fail(lineno, m.start(2), f"name {name!r} already defined", "a fresh name")
     try:
         if kind == "group":
-            env[name] = _parse_group_rhs(rhs, lineno, env, default_budget)
+            env[name] = _parse_group_rhs(rhs, lineno, env)
         else:
             env[name] = _parse_genspec_rhs(rhs, lineno, env)
     except ValueError as exc:  # a constructor rejected its arguments
@@ -120,7 +120,7 @@ def _one_int(text: str, lineno: int, head: str, what: str) -> int:
     return nums[0]
 
 
-def _parse_group_rhs(rhs: str, lineno: int, env: dict, default_budget: int | None) -> FiniteGroup:
+def _parse_group_rhs(rhs: str, lineno: int, env: dict) -> FiniteGroup:
     head, _, rest = rhs.partition(" ")
     rest = rest.strip()
     if head in _ONE_INT_FAMILIES:
@@ -143,7 +143,7 @@ def _parse_group_rhs(rhs: str, lineno: int, env: dict, default_budget: int | Non
     if head == "perm":
         return _parse_perm(rest, lineno)
     if head == "present":
-        return _parse_present(rest, lineno, default_budget)
+        return _parse_present(rest, lineno)
     raise _fail(lineno, 0, f"unknown group constructor {head!r}",
                 "cyclic | abelian | perm | present | dihedral | quaternion | "
                 "symmetric | alternating | product")
@@ -176,14 +176,13 @@ def _parse_perm(rest: str, lineno: int) -> FiniteGroup:
     return from_permutations(gens, degree)
 
 
-def _parse_present(rest: str, lineno: int, default_budget: int | None) -> FiniteGroup:
-    start = rest.find("<")
+def _parse_present(rest: str, lineno: int) -> FiniteGroup:
     end = rest.find(">")
-    if start < 0 or end < 0 or end < start:
+    if not rest.startswith("<") or end < 0:
         raise _fail(lineno, 0, "presentation must be enclosed in <...>", "'< gens | relators >'")
-    pres_text = rest[start:end + 1]
+    pres_text = rest[:end + 1]
     tail = rest[end + 1:].strip()
-    budget = default_budget
+    budget = None
     if tail:
         m = re.fullmatch(r"budget\s+(\d+)", tail)
         if not m:

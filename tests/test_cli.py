@@ -9,7 +9,7 @@ import pytest
 import cct
 import cct.cli
 from cct.cli import run
-from cct.errors import OrderBudgetExceeded, ParseError, UndefinedName
+from cct.errors import BudgetExceeded, OrderBudgetExceeded, ParseError, UndefinedName
 from cct.specfile import builtin_group, parse_spec_text, resolve_name
 
 
@@ -128,6 +128,7 @@ def test_spec_file_constructor_error_names_its_line(line, message):
     ("group x = perm 0 : (1)", "permutation degree must be positive"),
     ("group x = perm 3 : (1 2) x", "stray text 'x' in cycles"),
     ("group x = present a | a^2", "presentation must be enclosed in <...>"),
+    ("group x = present junk words < a | a^2 >", "presentation must be enclosed in <...>"),
     ("group x = present < a | a^2 > extra", "unexpected trailing text 'extra'"),
     ("group x = present < a | b >", "in presentation: "),
     ("genspec g = truncated 2", "truncated takes a prime and a depth"),
@@ -139,6 +140,13 @@ def test_spec_file_syntax_errors_name_their_line(line, message):
         parse_spec_text(text)
     assert exc.value.line == 3
     assert str(exc.value).startswith("line 3, ") and message in str(exc.value)
+
+
+def test_spec_file_presentation_without_budget_uses_the_default(monkeypatch):
+    monkeypatch.setattr(cct.config, "DEFAULT_MAX_COSETS", 4)
+    with pytest.raises(BudgetExceeded):
+        parse_spec_text("group g = present < a | a^5 >\n")
+    assert parse_spec_text("group g = present < a | a^5 > budget 5\n")["g"].order == 5
 
 
 def test_builtin_names():
@@ -308,6 +316,31 @@ def test_usage_errors_exit_2():
     assert code == 2 and "out of range" in err
 
 
+def test_budget_option_is_a_usage_error():
+    # a coset budget is set per presentation, by `budget N` in the spec file
+    code, out, err = invoke(["verify", "--budget", "5"])
+    assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["classify", "verify", "catalog"])
+def test_commands_that_read_no_names_ignore_them(monkeypatch, command):
+    # s100000 is far past the order limit, so resolving it would fail
+    argv = [command, "--max-order", "4"]
+    code, plain = invoke_json(argv)
+    assert code == 0
+    code, named = invoke_json(argv + ["--gen", "s100000"])
+    assert code == 0 and named["result"] == plain["result"]
+    assert named["inputs"]["gen"] == "s100000" and named["inputs"]["orders"] == {}
+
+    def no_resolve(env, name):
+        raise AssertionError(f"{command} resolved {name!r}")
+
+    monkeypatch.setattr(cct.cli, "resolve_name", no_resolve)
+    for fmt in ("text", "json"):
+        code, out, err = invoke(argv + ["--gen", "z2", "--target", "s3", "--format", fmt])
+        assert (code, err) == (0, "")
+
+
 def test_run_builds_one_parser_per_process(monkeypatch):
     top_level = []
     init = cct.cli.argparse.ArgumentParser.__init__
@@ -411,19 +444,19 @@ def test_json_index_convention():
 
 @pytest.mark.parametrize("argv,digest", [
     (["homs", "--gen", "s3", "--target", "s4"],
-     "bf0779eb373c5790de76f681a7342f0738b207a266db3225730e21c630fe5c75"),
+     "35ea52a452d85fbd27d2bb1eefbb3f7535292935e7670d6a436e6d78bd3ebe74"),
     (["homs", "--gen", "q8", "--target", "s4"],
-     "e8fb94c1fa38263260fe8f247a7d8d3b415f935aaef189f743c2350231804ce8"),
+     "ba41a6d888e34100f04ea7a1e81da0ce094339f5683906196b6fd56b2e6be123"),
     (["socle", "--gen", "z2", "--target", "s7"],
-     "119692d7e0b0b53dd973a701f7761c4ea9dfe989fe55e51646923a9c80ed29ee"),
+     "76da9da90894b705f403ce21371e1c7be7caaa9fca338c486d75c57ffe27211a"),
     (["iso", "--gen", "s3", "--target", "d6"],
-     "b36e803303eed4f3dc5536e44868438099da9a626a9a80c6b3c3c52d59998b44"),
+     "10978cb41b9da488e3a2e7795ce8b39314474ba6a58334e88998815176175fdc"),
     (["verify", "--max-order", "16", "--seed", "1"],
-     "dfb091f575582bf34ecc0b68eb464a2ae91c1f8bde1541a22a1ff481e812f29a"),
+     "d00157b3ff115963e50a8a69850515de7e33b7a391093c7e239d393d6ef00de8"),
     (["radical", "--gen", "z2", "--target", "z16"],
-     "f6ae59a79d9700e602a323ccc13619049c4c1fb07ef9697ef7655911a44ca833"),
+     "bc1e5d2ae1cb85e0ec8d08e705e2222123e92390e67c034075496a18cb02eb7c"),
     (["hierarchy", "--gen", "z3", "--target", "s6"],
-     "49fa68c77c73044b852ce92ebacc69530dfad6f44f17ce303357913d3952addb"),
+     "8f69046d3ce7cf77a091de817a0c5d9ab4c49a9e7ee93013460c82d6c34c164e"),
 ])
 def test_hom_reports_are_pinned(argv, digest):
     # the hom order, the isomorphism witness, the socle's members and the

@@ -96,6 +96,12 @@ def test_from_cayley_cyclic4():
     assert g.element_order(1) == 4
 
 
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+def test_from_cayley_label_count_must_match(labels):
+    with pytest.raises(ValueError, match=f"^{len(labels)} labels for a table of 2 elements$"):
+        cct.from_cayley([[0, 1], [1, 0]], labels)
+
+
 def test_from_cayley_nonassociative_witness():
     table = [[(a + b) % 6 for b in range(6)] for a in range(6)]
     table[2][3] = 4  # corrupt one entry of the order-6 cyclic table
@@ -370,6 +376,15 @@ def test_quaternion_structure():
     assert q8.order == 8
     orders = sorted(q8.element_order(x) for x in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_quaternion_relations_by_label():
+    q8 = cct.quaternion()
+    x = {q8.label(e): e for e in range(8)}
+    assert len(x) == 8
+    prod = lambda *names: q8.label(functools.reduce(q8.mul, (x[n] for n in names)))
+    assert prod("i", "i") == prod("j", "j") == prod("k", "k") == prod("i", "j", "k") == "-1"
+    assert prod("i", "j") == "k" and prod("j", "i") == "-k"
 
 
 def test_dihedral_structure():
@@ -736,6 +751,18 @@ def test_subgroup_rejects_members_out_of_range():
     for members in ({0, -4}, {0, 4}):
         with pytest.raises(ValueError, match="range"):
             cct.Subgroup(z4, members)
+
+
+@pytest.mark.parametrize("group,members,message", [
+    (cct.cyclic(4), {1, 2, 3}, "must contain the identity"),
+    (cct.cyclic(4), {0, 1, 2}, "size must divide the parent order"),
+    (cct.cyclic(4), {0, 1}, "not closed under inverse at 1"),
+    # the identity, (1 2) and (1 3)
+    (cct.symmetric(3), {0, 1, 3}, "not closed under product"),
+], ids=["identity", "divides", "inverse", "product"])
+def test_subgroup_rejects_a_set_that_is_not_a_subgroup(group, members, message):
+    with pytest.raises(ValueError, match=message):
+        cct.Subgroup(group, members)
 
 
 def test_default_cap_keeps_large_groups_off_the_table():

@@ -338,6 +338,24 @@ def test_iso_examples(standard_groups):
     assert not cct.isomorphic(d8, q8)
 
 
+def test_iso_center_size_tells_apart_what_the_histogram_does_not(monkeypatch):
+    # Z/2 x Dic24 and Z/4 x Dic12 share order 48, the abelian flag and the
+    # element-order histogram; their centers have orders 4 and 8
+    dic = lambda m: cct.realize(cct.parse_presentation(
+        f"< a, b | a^{2 * m}, b^-2 a^{m}, b^-1 a b a >"))
+    g = cct.direct_product(cct.cyclic(2), dic(6))
+    h = cct.direct_product(cct.cyclic(4), dic(3))
+    assert (g.order, g.is_abelian, g.order_histogram()) == (h.order, h.is_abelian,
+                                                            h.order_histogram())
+    assert (g.center_size(), h.center_size()) == (4, 8)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the prefilter should decide")
+
+    monkeypatch.setattr(cct.homs, "_hom_maps", no_scan)
+    assert cct.isomorphism(g, h) is None and cct.isomorphism(h, g) is None
+
+
 def test_iso_reflexive_symmetric(catalog8):
     entries = list(catalog8)[:10]
     for e in entries:
