@@ -299,15 +299,15 @@ def run(argv, out=None, err=None) -> int:
 
 def _inputs_echo(args, inputs: dict) -> dict:
     orders = {}
-    gen_factor_orders = None
     for attr, obj in inputs.items():
         name = getattr(args, attr)
         if isinstance(obj, GeneratorSpec):
-            gen_factor_orders = [f.order for f in obj.factors]
             if len(obj.factors) == 1:
                 orders[name] = obj.factors[0].order
         else:
             orders[name] = obj.order
+    gen = inputs.get("gen")
+    gen_factor_orders = [f.order for f in gen.factors] if isinstance(gen, GeneratorSpec) else None
     return {
         "gen": args.gen,
         "target": args.target,

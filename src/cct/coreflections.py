@@ -238,9 +238,9 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
     the radical, both are normal, each stage at least doubles the last, the
     chain has at most log2 |G| + 1 stages, G/radical admits only trivial
     homs, and both are idempotent (a trivial or whole stage is, and G/G
-    admits only trivial homs, so those pass unworked).  Each distinct
-    proper stage of an entry is built as a group once, and every
-    generator's idempotence checks reuse it.  One check per generator and
+    admits only trivial homs, so those pass unworked).  `Subgroup.as_group`
+    builds each distinct proper stage of an entry as a group once, and
+    every generator's idempotence checks reuse it.  One check per generator and
     ordered pair (A, B) of entries of order at most 12: every hom A -> B
     maps S(A) into S(B) and R(A) into R(B).  These are normal, so
     only the homs up to conjugacy (`homs.hom_class_walk`) map the stages'
@@ -254,17 +254,9 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
         failures.append({"check": check, "gen": gen, "target": target, "witness": witness})
 
     stages = []  # per generator, per entry: (socle, radical)
-    stage_groups: dict[tuple[int, frozenset[int]], FiniteGroup] = {}
-
-    def as_group(i: int, stage: Subgroup) -> FiniteGroup:
-        key = (i, stage.members)
-        if key not in stage_groups:
-            stage_groups[key] = stage.as_group()
-        return stage_groups[key]
-
     for gen_name, spec in specs:
         stages.append([])
-        for i, entry in enumerate(entries):
+        for entry in entries:
             group = entry.group
             chain = radical(spec, group)
             soc, rad = chain.stages[0], chain.final
@@ -284,10 +276,10 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
                 if not chk.ok:
                     fail("quotient-triviality", gen_name, entry.name,
                          f"hom with images {chk.offender.gen_images}")
-            if 1 < soc.order < group.order and socle(spec, as_group(i, soc)).order != soc.order:
+            if 1 < soc.order < group.order and socle(spec, soc.as_group()).order != soc.order:
                 fail("socle-idempotence", gen_name, entry.name, f"socle order {soc.order}")
             if (1 < rad.order < group.order
-                    and radical(spec, as_group(i, rad)).final.order != rad.order):
+                    and radical(spec, rad.as_group()).final.order != rad.order):
                 fail("radical-idempotence", gen_name, entry.name, f"radical order {rad.order}")
 
     small = [i for i, entry in enumerate(entries) if entry.group.order <= 12]

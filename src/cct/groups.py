@@ -16,16 +16,19 @@ permutation groups, "element-index" for the rest.  The row product
 `mul_row(x, ys)`, x times each element of a sequence, is one `_compose`
 of ys through row x on a table and one `mul` per element otherwise; the
 closures, coset labels and the subgroup walk multiply whole cosets with it.
-Inverses come from the BFS tree by one rule for both.  A group never
-changes after construction; only its element-order and abelian-flag
-caches are filled lazily.
+Inverses come from the BFS tree by one rule for both.  A group or
+subgroup never changes after construction, so what it determines is
+computed once and kept while it lives: by `cached_property` what it reads
+in its own loops, by `_memo` what other code derives from it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, wraps
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -57,6 +60,31 @@ __all__ = [
 ]
 
 
+def _memo(f):
+    """`f(obj, *args)` computed once per object and argument tuple, and
+    dropped with the object; a function of the object alone keeps its value
+    straight under the object."""
+    cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def of_object(obj):
+        try:
+            return cache[obj]
+        except KeyError:
+            pass
+        value = cache[obj] = f(obj)
+        return value
+
+    def of_arguments(obj, *args):
+        try:
+            return cache[obj][args]
+        except KeyError:
+            pass
+        value = cache.setdefault(obj, {})[args] = f(obj, *args)
+        return value
+
+    return wraps(f)(of_object if f.__code__.co_argcount == 1 else of_arguments)
+
+
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
@@ -73,47 +101,36 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
-        self._element_orders: list[int] | None = None
-        self._orders_complete = False
-        self._abelian: bool | None = None
+
+    @cached_property
+    def _orders(self) -> list[int]:
+        """The order of every element: one walk of <x> sets it for every
+        power of x, since x^k has order m / gcd(m, k)."""
+        orders = [0] * self.order
+        for x in range(self.order):
+            if not orders[x]:
+                powers = [x]
+                while powers[-1] != 0:
+                    powers.append(self.mul(powers[-1], x))
+                m = len(powers)
+                for k, y in enumerate(powers, 1):
+                    if not orders[y]:
+                        orders[y] = m // math.gcd(m, k)
+        return orders
 
     def element_order(self, x: int) -> int:
-        """Least m >= 1 with x^m = identity; always divides |G|.
-
-        One walk of <x> fills the cache for every power of x, since x^k has
-        order m / gcd(m, k); listing all element orders thus costs one walk
-        per cyclic subgroup.
-        """
-        orders = self._element_orders
-        if orders is None:
-            orders = self._element_orders = [0] * self.order
-        if not orders[x]:
-            powers = [x]
-            while powers[-1] != 0:
-                powers.append(self.mul(powers[-1], x))
-            m = len(powers)
-            for k, y in enumerate(powers, 1):
-                if not orders[y]:
-                    orders[y] = m // math.gcd(m, k)
-        return orders[x]
+        """Least m >= 1 with x^m = identity; always divides |G|."""
+        return self._orders[x]
 
     def element_orders(self) -> list[int]:
-        """The order of every element, by index: the shared cache, completed
+        """The order of every element, by index: one shared list, computed
         on first use, so callers must not modify it."""
-        if not self._orders_complete:
-            for x in range(self.order):
-                self.element_order(x)
-            self._orders_complete = True
-        return self._element_orders
+        return self._orders
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            gens = self.generators
-            self._abelian = all(
-                self.mul(a, b) == self.mul(b, a) for a in gens for b in gens
-            )
-        return self._abelian
+        gens = self.generators
+        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def center_size(self) -> int:
         gens = self.generators
@@ -144,17 +161,19 @@ class Subgroup:
         self.members = frozenset(members)
         if not _checked:
             _validate_subgroup(parent, self.members)
-        self._sorted: tuple[int, ...] | None = None
 
     @property
     def order(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def _sorted(self) -> tuple[int, ...]:
+        return tuple(sorted(self.members))
+
     def sorted_members(self) -> tuple[int, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.members))
         return self._sorted
 
+    @_memo
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (labels inherited), generated
         by each member outside the closure of the smaller ones."""

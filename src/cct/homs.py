@@ -46,14 +46,13 @@ domain.
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import OrderBudgetExceeded
 from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose, _conjugates,
-                     _first_bad_edge, _power, _prime_factorization, normal_closure,
+                     _first_bad_edge, _memo, _power, _prime_factorization, normal_closure,
                      subgroup_generated)
 
 __all__ = [
@@ -113,15 +112,8 @@ def _make_hom(domain: FiniteGroup, codomain: FiniteGroup, full: tuple[int, ...])
 # check) steps, then the members of the chain subgroup they complete.
 _Level = tuple[list[tuple[int, int, int, bool]], list[int]]
 
-# Groups are immutable, so a group's minimal generating set, the hom
-# search's steps over it and the conjugacy classes of its slots (per element
-# order m) never change; an entry goes when the group does.
-_MIN_GENS: weakref.WeakKeyDictionary[FiniteGroup, tuple[int, ...]] = weakref.WeakKeyDictionary()
-_CHAIN_STEPS: weakref.WeakKeyDictionary[FiniteGroup, list[_Level]] = weakref.WeakKeyDictionary()
-_SLOT_CLASSES: weakref.WeakKeyDictionary[FiniteGroup, dict[int, dict[int, int]]] = \
-    weakref.WeakKeyDictionary()
 
-
+@_memo
 def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
     """A smallest generating tuple.
 
@@ -141,9 +133,6 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
       or ruled out by the bound.  Only failing combinations are skipped, so
       the first success is unchanged.
     """
-    cached = _MIN_GENS.get(group)
-    if cached is not None:  # the budget bounds a search, and a cached tuple needs none
-        return cached
     limit = config.order_max()
     if group.order > limit:
         raise OrderBudgetExceeded(limit, "minimal generating set")
@@ -159,7 +148,6 @@ def minimal_generating_set(group: FiniteGroup) -> tuple[int, ...]:
                 break
     if result is None:
         raise AssertionError("no generating tuple found")
-    _MIN_GENS[group] = result
     return result
 
 
@@ -242,21 +230,17 @@ def _slot(group: FiniteGroup, m: int) -> list[int]:
     return [y for y, o in enumerate(group.element_orders()) if m % o == 0]
 
 
+@_memo
 def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
     """The conjugacy classes of the group among its elements whose order
     divides m: the least element of each class, in index order, mapped to
-    the class size; cached per group and m.
+    the class size.
 
     Each class is the orbit of its least element under conjugation by the
     group's generators, so the work is |slot| |generators| conjugations,
     not one per element of the group.  An abelian group's classes are its
     elements, read off without orbits.
     """
-    cached = _SLOT_CLASSES.get(group)
-    if cached is None:
-        cached = _SLOT_CLASSES[group] = {}
-    elif m in cached:
-        return cached[m]
     slot = _slot(group, m)
     if group.is_abelian:
         classes = dict.fromkeys(slot, 1)
@@ -273,7 +257,6 @@ def _slot_classes(group: FiniteGroup, m: int) -> dict[int, int]:
                     seen.add(z)
                     orbit.append(z)
             classes[x] = len(orbit)
-    cached[m] = classes
     return classes
 
 
@@ -380,6 +363,7 @@ def hom_image_lifts(domain: FiniteGroup, group: FiniteGroup, coset_of: Sequence[
     return (reps[a] for hom in images for a in hom)
 
 
+@_memo
 def _chain_steps(domain: FiniteGroup) -> list[_Level]:
     """Per generator gens[j] of the domain's minimal generating set, the
     steps that extend a map on H_{j-1} = <gens[:j]> to H_j = <gens[:j+1]>,
@@ -394,9 +378,6 @@ def _chain_steps(domain: FiniteGroup) -> list[_Level]:
     Since gens is a minimal generating set, gens[j] lies outside H_{j-1},
     so every such edge has an end new to H_j.
     """
-    cached = _CHAIN_STEPS.get(domain)
-    if cached is not None:
-        return cached
     gens = minimal_generating_set(domain)
     mul = domain.mul
     levels = []
@@ -416,7 +397,6 @@ def _chain_steps(domain: FiniteGroup) -> list[_Level]:
                     steps[max(rank.get(x, -1), rank.get(y, -1))].append((y, x, i, True))
         levels.append(([step for group in steps for step in group], order))
         mapped.update(rank)
-    _CHAIN_STEPS[domain] = levels
     return levels
 
 

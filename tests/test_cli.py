@@ -52,6 +52,19 @@ genspec fp = freeprod z4, s3
     assert [f.order for f in env["fp"].factors] == [4, 6]
 
 
+def test_spec_freeprod_flattens_a_named_genspec():
+    env = parse_spec_text(
+        "group z2 = cyclic 2\n"
+        "group z3 = cyclic 3\n"
+        "group s3 = symmetric 3\n"
+        "genspec a = freeprod z2, z3\n"
+        "genspec b = freeprod a, s3\n"
+    )
+    factors = env["b"].factors
+    assert len(factors) == 3
+    assert all(f is env[name] for f, name in zip(factors, ("z2", "z3", "s3")))
+
+
 def test_spec_file_undefined_name():
     with pytest.raises(UndefinedName) as exc:
         parse_spec_text("group x = product s3, undefined_name\n")
@@ -369,6 +382,17 @@ def test_multi_factor_genspec_rejected_where_group_needed(tmp_path):
     assert rep["inputs"]["gen_factor_orders"] == [2, 4, 8]
 
 
+def test_json_echo_credits_genspec_factors_to_the_generator_only(tmp_path):
+    # a one-factor genspec target is read as its group, and its factors are
+    # not the generator's
+    spec = tmp_path / "g.spec"
+    spec.write_text("group s3 = symmetric 3\ngroup z2 = cyclic 2\ngenspec t = freeprod s3\n")
+    code, rep = invoke_json(["socle", "--spec", str(spec), "--gen", "z2", "--target", "t"])
+    assert code == 0
+    assert rep["inputs"]["gen_factor_orders"] is None
+    assert rep["inputs"]["orders"] == {"z2": 2, "t": 6}
+
+
 def test_verify_with_spec_file(tmp_path):
     spec = tmp_path / "env.spec"
     spec.write_text(
@@ -457,7 +481,8 @@ def test_json_index_convention():
      "bc1e5d2ae1cb85e0ec8d08e705e2222123e92390e67c034075496a18cb02eb7c"),
     (["hierarchy", "--gen", "z3", "--target", "s6"],
      "8f69046d3ce7cf77a091de817a0c5d9ab4c49a9e7ee93013460c82d6c34c164e"),
-])
+], ids=["homs-s3-s4", "homs-q8-s4", "socle-z2-s7", "iso-s3-d6", "verify-16-seed1",
+        "radical-z2-z16", "hierarchy-z3-s6"])
 def test_hom_reports_are_pinned(argv, digest):
     # the hom order, the isomorphism witness, the socle's members and the
     # radical chain's stages, end to end: SHA-256 of the sorted JSON report

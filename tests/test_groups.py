@@ -367,6 +367,24 @@ def test_huge_degree_fails_before_building(family):
         getattr(cct, family)(10**6)
 
 
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: cct.cyclic(20001), OrderBudgetExceeded, "(cyclic 20001)"),
+    (lambda: cct.abelian([2, 10001]), OrderBudgetExceeded, "(abelian [2, 10001])"),
+    (lambda: cct.dihedral(20002), OrderBudgetExceeded, "(dihedral 20002)"),
+    (lambda: cct.direct_product(cct.cyclic(200), cct.cyclic(101)), OrderBudgetExceeded,
+     "(direct product)"),
+    (lambda: cct.build_small_catalog(20001), OrderBudgetExceeded, "(catalog bound)"),
+    (lambda: cct.build_small_catalog(0), ValueError, "max_order must be positive"),
+], ids=["cyclic", "abelian", "dihedral", "direct-product", "catalog-bound", "catalog-zero"])
+def test_order_budget_gates_name_their_context(monkeypatch, build, error, message):
+    # each gate fires before its group is built, at the default budget of 20000
+    monkeypatch.delenv("CCT_ORDER_MAX", raising=False)
+    with pytest.raises(error, match=f"{re.escape(message)}$") as exc:
+        build()
+    if error is OrderBudgetExceeded:
+        assert exc.value.limit == 20000
+
+
 # ---------------------------------------------------------------------------
 # named families
 

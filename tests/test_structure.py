@@ -170,3 +170,32 @@ def test_one_conjugation_loop_and_one_cyclic_domain_rule():
             ] == ["_conjugates"]
     assert [scope for *_, scope in nodes_outside(SRC / "homs.py", is_one_generator_test, set())
             ] == ["_hom_images"]
+
+
+def imports_weakref(node):
+    return ((isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.module == "weakref"))
+
+
+def builds_weak_key_dictionary(node):
+    return isinstance(node, ast.Call) and name_of(node.func) == "WeakKeyDictionary"
+
+
+def stores_private_field(node):
+    """An assignment to `self._name`."""
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and name_of(node.value) == "self" and private(node.attr))
+
+
+def test_one_cache_mechanism():
+    """What is derived from a group or subgroup is kept by `groups._memo`,
+    the one weak-keyed table, or by a `cached_property`; constructors fill
+    no private cache fields."""
+    weakref_users = [path.name for path in sorted(SRC.glob("*.py"))
+                     if nodes_outside(path, imports_weakref, set())]
+    assert weakref_users == ["groups.py"]
+    assert [scope for *_, scope in nodes_outside(SRC / "groups.py", builds_weak_key_dictionary,
+                                                 set())] == ["_memo"]
+    inits = {"FiniteGroup.__init__", "Subgroup.__init__"}
+    assert [(line, scope) for _, line, scope in nodes_outside(
+        SRC / "groups.py", stores_private_field, set()) if scope in inits] == []
