@@ -32,7 +32,7 @@ from .groups import (
     subgroup_generated,
     symmetric,
 )
-from .homs import Homomorphism, image, isomorphic, minimal_generating_set
+from .homs import Homomorphism, image, iso_invariants, isomorphic, minimal_generating_set
 from .presentations import parse_presentation, realize
 
 __all__ = [
@@ -215,16 +215,21 @@ def classify_up_to_iso(catalog: Catalog) -> list[list[CatalogEntry]]:
 
     The representative of each class is its first entry in catalog order;
     the partition (as a set of sets of names) is invariant under catalog
-    permutation because isomorphism is an equivalence.
+    permutation because isomorphism is an equivalence.  An entry is only
+    compared with the classes that share its `iso_invariants`, since no
+    other class can hold a group isomorphic to it.
     """
     classes: list[list[CatalogEntry]] = []
+    buckets: dict[tuple, list[list[CatalogEntry]]] = {}  # invariants -> their classes
     for entry in catalog:
-        for cls in classes:
+        bucket = buckets.setdefault(iso_invariants(entry.group), [])
+        for cls in bucket:
             if isomorphic(cls[0].group, entry.group):
                 cls.append(entry)
                 break
         else:
-            classes.append([entry])
+            bucket.append([entry])
+            classes.append(bucket[-1])
     return classes
 
 

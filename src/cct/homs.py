@@ -62,6 +62,7 @@ __all__ = [
     "iter_homs",
     "hom_count",
     "image",
+    "iso_invariants",
     "isomorphism",
     "isomorphic",
 ]
@@ -419,19 +420,20 @@ def image(hom: Homomorphism) -> Subgroup:
     return subgroup_generated(hom.codomain, set(hom.full_map))
 
 
+@_memo
+def iso_invariants(g: FiniteGroup) -> tuple:
+    """Order, abelian flag, element-order histogram and center size: equal
+    for isomorphic groups, so groups that differ in them are not."""
+    return g.order, g.is_abelian, g.order_histogram(), g.center_size()
+
+
 def isomorphism(g: FiniteGroup, h: FiniteGroup) -> Homomorphism | None:
     """A bijective homomorphism g -> h, or None.
 
-    Prefilters on order, abelian flag, element-order histogram and center
-    size, then returns the first bijection of the equal-order scan.
+    Prefilters on `iso_invariants`, then returns the first bijection of the
+    equal-order scan.
     """
-    if g.order != h.order:
-        return None
-    if g.is_abelian != h.is_abelian:
-        return None
-    if g.order_histogram() != h.order_histogram():
-        return None
-    if g.center_size() != h.center_size():
+    if g.order != h.order or iso_invariants(g) != iso_invariants(h):
         return None
     orders = h.element_orders()
     slots = [[y for y, o in enumerate(orders) if o == m]

@@ -10,11 +10,13 @@ of its inverse is not scanned at a coset where that rotation shows it
 already closed at a smaller one, a scan that would change nothing.  Where
 the rotation is one letter, as for (s t)^m over involutions or b^n, this
 is decided once per coset: its descent mask, the columns that lead from it
-back to a smaller coset, picks the relators it must scan.  Coincidences
-are processed eagerly through a union-find that always keeps the
-lower-numbered coset alive.  One pass leaves every row complete and
-every relator cycle closed, since a coincidence only identifies cosets
-(Holt, Eick & O'Brien, Handbook of Computational Group Theory, §5.1).  One
+back to a smaller coset, picks the relators it must scan.  The table is
+kept by columns, one list per column indexed by coset and grown by
+doubling, so defining a coset builds no row.  Coincidences are processed
+eagerly through a union-find that always keeps the lower-numbered coset
+alive.  One pass leaves every row complete and every relator cycle
+closed, since a coincidence only identifies cosets (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, §5.1).  One
 exact check on the original relators confirms it over every coset at once,
 a relator u^m as u's permutation raised to the m-th power; a table that
 fails it raises AssertionError, so a returned table has always passed it.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import string
 from dataclasses import dataclass
 
@@ -288,6 +291,9 @@ def parse_presentation(text: str) -> Presentation:
 # coset enumeration
 
 
+_FIRST_ROOM = 64  # the cosets a coset table holds before it first doubles
+
+
 def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTable:
     """Enumerate cosets of the trivial subgroup (HLT, eager coincidences).
 
@@ -308,14 +314,22 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     pointing down through coincidences, so each skip is still a scan that
     would change nothing.  So the cosets defined, their order and the
     budgets are those of scanning every relator.  `max_cosets` bounds the
-    cosets ever defined, dead ones included.  One HLT pass, closed by one
-    exact check on the original presentation (Handbook §5.1): every live
-    row is complete and every relator is the identity on the table.  The
-    returned table is standardised: coset 0 first, the others numbered as
-    first reached when the numbered cosets are scanned in order over the
-    columns g1, g1^-1, g2, ...; so it depends only on the presented group
-    and its generator order, not on how the pass ran.  Each of its columns
-    is one `_compose` of the live rows' entries through the new numbering.
+    cosets ever defined, dead ones included.
+
+    The table is kept by columns: the entry of coset c in column x is
+    `cols[x][c]`, and a relator is the tuple of its letters' column lists,
+    read forward and inverted.  The columns and the union-find parents grow
+    by doubling, so a definition writes two entries and its parent and
+    builds no row; a dead coset keeps its entries, which nothing reads
+    again.  One HLT pass, closed by one exact check on the original
+    presentation (Handbook §5.1): every live coset is complete and every
+    relator is the identity on the table.  The returned table is
+    standardised: coset 0 first, the others numbered as first reached when
+    the numbered cosets are scanned in order over the columns g1, g1^-1,
+    g2, ...; so it depends only on the presented group and its generator
+    order, not on how the pass ran.  Each of its columns is two
+    `_compose`s: the generator's column read at the cosets in the new
+    order, then renumbered.
     """
     budget = max_cosets if max_cosets is not None else config.DEFAULT_MAX_COSETS
     if budget < 1:
@@ -333,9 +347,12 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
         else:
             column[s, 1], column[s, -1] = c, c + 1
             inv += [c + 1, c]
-    width = len(inv)
+    cap = min(budget, _FIRST_ROOM)  # cosets the columns hold before they double
+    cols = [[None] * cap for _ in inv]
+    pairs = [(col, cols[ix]) for col, ix in zip(cols, inv)]  # (column, inverse column)
+    parent = [0] * cap  # union-find, always rooted at the lowest coset; set on definition
     # (columns of its one-letter skip paths as a bitmask, (word, inverse
-    # column of each letter, longer skip paths)), in declared order
+    # word, longer skip paths) as column lists), in declared order
     relators = []
     one_letter = 0  # the columns of every one-letter path
     for rel in pres.relators:
@@ -347,99 +364,20 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 if len(path) == 1:
                     bits |= 1 << path[0]
                 else:
-                    longer.append(path)
+                    longer.append(_compose(path, cols))
             one_letter |= bits
-            relators.append((bits, (word, iword, longer)))
-    descents = [(x, 1 << x) for x in range(width) if one_letter >> x & 1]
+            relators.append((bits, (_compose(word, cols), _compose(iword, cols), longer)))
+    descents = [(col, 1 << x) for x, col in enumerate(cols) if one_letter >> x & 1]
     to_scan: dict[int, list] = {}  # descent mask -> the relators it does not skip
 
-    table: list[list[int | None] | None] = [[None] * width]
-    parent = [0]
-
-    def live() -> int:
-        return sum(p == c for c, p in enumerate(parent))
-
-    def rep(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def define(alpha: int, x: int):
-        if len(table) >= budget:
-            raise BudgetExceeded(budget, live())
-        beta = len(table)
-        table.append([None] * width)
-        parent.append(beta)
-        table[alpha][x] = beta
-        table[beta][inv[x]] = alpha
-
-    def merge(a: int, b: int, queue: list[int]):
-        a, b = rep(a), rep(b)
-        if a != b:
-            lo, hi = (a, b) if a < b else (b, a)
-            parent[hi] = lo
-            queue.append(hi)
-
-    def coincidence(a: int, b: int):
-        rows, up, inverse = table, parent, inv
-        queue: list[int] = []
-        merge(a, b, queue)
-        for gamma in queue:  # merge appends while the loop runs
-            for x, delta in enumerate(rows[gamma]):
-                if delta is None:
-                    continue
-                ix = inverse[x]
-                rows[delta][ix] = None
-                mu = gamma
-                while up[mu] != mu:
-                    mu = up[mu]
-                nu = delta
-                while up[nu] != nu:
-                    nu = up[nu]
-                if rows[mu][x] is not None:
-                    merge(nu, rows[mu][x], queue)
-                elif rows[nu][ix] is not None:
-                    merge(mu, rows[nu][ix], queue)
-                else:
-                    rows[mu][x] = nu
-                    rows[nu][ix] = mu
-            # a dead coset's row is never read again once its entries moved
-            rows[gamma] = None
-
-    def scan_and_fill(alpha: int, word: tuple[int, ...], iword: tuple[int, ...]):
-        rows = table
-        f, i = alpha, 0
-        b, j = alpha, len(word) - 1
-        while True:
-            while i <= j and (nxt := rows[f][word[i]]) is not None:
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and (nxt := rows[b][iword[j]]) is not None:
-                b = nxt
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                rows[f][word[i]] = b
-                rows[b][iword[i]] = f
-                return
-            define(f, word[i])
-
+    size = 1  # cosets defined, dead ones included
+    room = cap  # a definition at size == room grows the columns or exceeds the budget
     alpha = 0
-    while alpha < len(table):
+    while alpha < size:
         if parent[alpha] == alpha:
-            row = table[alpha]
             mask = 0  # the one-letter paths from alpha that reach a smaller coset
-            for x, bit in descents:
-                c = row[x]
+            for col, bit in descents:
+                c = col[alpha]
                 if c is not None and c < alpha:
                     mask |= bit
             todo = to_scan.get(mask)
@@ -448,44 +386,139 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
             for word, iword, paths in todo:
                 for path in paths:  # only the paths of two or more letters
                     c = alpha
-                    for x in path:
-                        c = table[c][x]
+                    for col in path:
+                        c = col[c]
                         if c is None:
                             break
                     else:
                         if c < alpha:  # closed at c, scanned before alpha, so closed here
                             break
-                else:  # no path reached a smaller coset
-                    scan_and_fill(alpha, word, iword)
+                else:  # no path reached a smaller coset: scan, defining as it stalls
+                    f, i = alpha, 0
+                    b, j = alpha, len(word) - 1
+                    while True:
+                        while i <= j and (nxt := word[i][f]) is not None:
+                            f = nxt
+                            i += 1
+                        if i > j:
+                            if f != b:
+                                _coincidence(f, b, parent, pairs)
+                            break
+                        while j >= i and (nxt := iword[j][b]) is not None:
+                            b = nxt
+                            j -= 1
+                        if j < i:
+                            _coincidence(f, b, parent, pairs)
+                            break
+                        if j == i:
+                            word[i][f] = b
+                            iword[i][b] = f
+                            break
+                        if size == room:
+                            room = _grow(cols, parent, size, budget)
+                        word[i][f] = parent[size] = size
+                        iword[i][size] = f
+                        size += 1
                     if parent[alpha] != alpha:
                         break
             else:  # alpha survived every relator: fill its row
-                for x in range(width):
-                    if table[alpha][x] is None:
-                        define(alpha, x)
+                for col, icol in pairs:
+                    if col[alpha] is None:
+                        if size == room:
+                            room = _grow(cols, parent, size, budget)
+                        col[alpha] = parent[size] = size
+                        icol[size] = alpha
+                        size += 1
         alpha += 1
 
     # standardise (Handbook §5.1): the columns are already g1, g1^-1, g2, ...
     order = [0]
-    pos = [-1] * len(table)
+    pos = [-1] * size
     pos[0] = 0
     for c in order:  # appends while the loop runs
-        row = table[c]
-        if None in row:
-            raise AssertionError("HLT pass left an incomplete coset table")
-        for d in row:
+        for col in cols:
+            d = col[c]
+            if d is None:
+                raise AssertionError("HLT pass left an incomplete coset table")
             if pos[d] < 0:
                 pos[d] = len(order)
                 order.append(d)
-    if len(order) != live():
+    if len(order) != _live(parent, size):
         raise AssertionError("HLT pass left a live coset unreachable")
-    columns = list(zip(*_compose(order, table)))  # of the live rows, in the new order
-    result = CosetTable(
-        len(order), tuple(_compose(columns[column[s, 1]], pos) for s in range(k))
-    )
+    result = CosetTable(len(order), tuple(_compose(_compose(order, cols[column[s, 1]]), pos)
+                                          for s in range(k)))
     if not _closes(result, pres):
         raise AssertionError("HLT pass left a relator unclosed")
     return result
+
+
+def _live(parent: list[int], size: int) -> int:
+    """The live cosets among the first `size`: the roots of the union-find."""
+    return sum(map(operator.eq, parent, range(size)))
+
+
+def _grow(cols: list[list], parent: list[int], size: int, budget: int) -> int:
+    """Room for the definition of coset `size`, which is the table's room.
+
+    Raises BudgetExceeded if `size` cosets spend the budget; otherwise
+    doubles the columns and the parent list in place if they are full.
+    Returns the size at which the next definition must ask again.
+    """
+    if size >= budget:
+        raise BudgetExceeded(budget, _live(parent, size))
+    if size == len(parent):
+        for col in cols:
+            col += [None] * size
+        parent += [0] * size
+    return min(len(parent), budget)
+
+
+def _coincidence(a: int, b: int, parent: list[int], pairs: list[tuple[list, list]]):
+    """Identify cosets a and b and every pair their rows force together.
+
+    The higher root of each pair becomes dead and is queued; its entries
+    move to the coset that absorbed it, column by column, and a clash there
+    queues a further pair.  The lower-numbered coset always stays alive.
+    """
+    while parent[a] != a:
+        a = parent[a]
+    while parent[b] != b:
+        b = parent[b]
+    if a == b:
+        return
+    if b < a:
+        a, b = b, a
+    parent[b] = a
+    queue = [b]
+    for gamma in queue:  # appends while the loop runs
+        for col, icol in pairs:
+            delta = col[gamma]
+            if delta is None:
+                continue
+            icol[delta] = None
+            mu = gamma
+            while parent[mu] != mu:
+                mu = parent[mu]
+            nu = delta
+            while parent[nu] != nu:
+                nu = parent[nu]
+            if (a := col[mu]) is not None:  # mu and nu clash: identify col[mu] and nu
+                b = nu
+            elif (a := icol[nu]) is not None:  # or icol[nu] and mu
+                b = mu
+            else:
+                col[mu] = nu
+                icol[nu] = mu
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if b < a:
+                    a, b = b, a
+                parent[b] = a
+                queue.append(b)
 
 
 def _cyclically_reduced(word: tuple[int, ...], inv: list[int]) -> tuple[int, ...]:
@@ -539,9 +572,10 @@ def _closes(ct: CosetTable, pres: Presentation) -> bool:
     The check stays exact over every coset.  Raises AssertionError if a
     generator action is not a permutation.
     """
-    ident = tuple(range(ct.num_cosets))
+    n = ct.num_cosets
+    ident, cosets = tuple(range(n)), set(range(n))
     for perm in ct.action:
-        if tuple(sorted(perm)) != ident:
+        if len(perm) != n or set(perm) != cosets:
             raise AssertionError("coset action is not a permutation")
     inverse = {}  # only for generators that some relator inverts
     for s in {s for rel in pres.relators for s, e in rel.letters if e < 0}:

@@ -153,6 +153,31 @@ def test_classify_singleton():
     assert len(cct.classify_up_to_iso(cat)) == 1
 
 
+def test_classify_matches_the_pairwise_loop(monkeypatch):
+    # oracle: compare each entry with every class representative so far
+    catalog = cct.build_small_catalog(32)
+    oracle = []
+    for entry in catalog:
+        for cls in oracle:
+            if cct.isomorphic(cls[0].group, entry.group):
+                cls.append(entry)
+                break
+        else:
+            oracle.append([entry])
+    compared = []
+
+    def isomorphic(g, h):
+        compared.append((g, h))
+        return cct.isomorphic(g, h)
+
+    monkeypatch.setattr(cct.catalogs, "isomorphic", isomorphic)
+    classes = cct.classify_up_to_iso(catalog)
+    assert [[e.name for e in cls] for cls in classes] == [[e.name for e in cls] for cls in oracle]
+    # only groups that share their invariants are compared
+    assert compared
+    assert all(cct.homs.iso_invariants(g) == cct.homs.iso_invariants(h) for g, h in compared)
+
+
 def seven_order8_constructions():
     return [
         CatalogEntry("z8", cct.cyclic(8), ""),

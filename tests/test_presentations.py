@@ -458,6 +458,49 @@ def test_todd_coxeter_budgets_pinned(text, cosets, budget):
         cct.todd_coxeter(pres, budget - 1)
 
 
+# (presentation, cosets, smallest max_cosets that succeeds, cosets live when
+# the budget one below it runs out, SHA-256 of repr(action)) for the largest
+# enumerations of the catalog-presentations benchmark, spelled as it spells them
+PINNED_LARGE = [
+    ("< s1, s2, s3, s4, s5, s6, s7 | s1^2, s2^2, s3^2, s4^2, s5^2, s6^2, s7^2, "
+     "(s1 s2)^3, (s1 s3)^2, (s1 s4)^2, (s1 s5)^2, (s1 s6)^2, (s1 s7)^2, (s2 s3)^3, "
+     "(s2 s4)^2, (s2 s5)^2, (s2 s6)^2, (s2 s7)^2, (s3 s4)^3, (s3 s5)^2, (s3 s6)^2, "
+     "(s3 s7)^2, (s4 s5)^3, (s4 s6)^2, (s4 s7)^2, (s5 s6)^3, (s5 s7)^2, (s6 s7)^3 >",
+     40320, 52457, 40322,
+     "6da4255a8be7e8657cd3e2b419a1f951eafef2eec1c3bee3bd9b6d75b4a8b624"),
+    ("< s1, s2, s3, s4, s5, s6 | s1^2, s2^2, s3^2, s4^2, s5^2, s6^2, (s1 s2)^2, "
+     "(s1 s3)^3, (s1 s4)^2, (s1 s5)^2, (s1 s6)^2, (s2 s3)^2, (s2 s4)^3, (s2 s5)^2, "
+     "(s2 s6)^2, (s3 s4)^3, (s3 s5)^2, (s3 s6)^2, (s4 s5)^3, (s4 s6)^2, (s5 s6)^3 >",
+     51840, 57435, 51840,
+     "1af35a7b624b07f98dc25370d646e43a1f402ba6d29273a47cd0f3665110ca27"),
+]
+
+
+@pytest.mark.parametrize("text,cosets,budget,live,digest", PINNED_LARGE, ids=["S8", "E6"])
+def test_largest_enumerations_pinned(text, cosets, budget, live, digest):
+    pres = cct.parse_presentation(text)
+    ct = cct.todd_coxeter(pres, budget)
+    assert ct.num_cosets == cosets
+    assert hashlib.sha256(repr(ct.action).encode()).hexdigest() == digest
+    with pytest.raises(BudgetExceeded) as exc:
+        cct.todd_coxeter(pres, budget - 1)
+    assert exc.value.live == live
+
+
+def test_every_budget_of_a6_pinned():
+    # the table grows by doubling; no growth step may move a budget or a
+    # live count, so every budget below the smallest that succeeds is pinned
+    pres = cct.parse_presentation("<a,b | a^2, b^4, (a b)^5, (a b^2)^5>")
+    lives = []
+    for budget in range(1, 762):
+        with pytest.raises(BudgetExceeded) as exc:
+            cct.todd_coxeter(pres, budget)
+        lives.append(exc.value.live)
+    assert (hashlib.sha256(repr(lives).encode()).hexdigest()
+            == "21273b81f6927d3f8a888f3a77a227c733cb634f08a4ad4c228ea1dfc90fb4c9")
+    assert cct.todd_coxeter(pres, 762).num_cosets == 360
+
+
 def test_conjugated_relator_costs_what_the_relator_costs():
     # b^-1 (a b)^5 b is reduced cyclically to (a b)^5 before the pass
     for text in ("<a,b | a^2, b^3, (a b)^5>", "<a,b | a^2, b^3, b^-1 (a b)^5 b>"):
@@ -710,12 +753,14 @@ def test_closing_check_rejects_swapped_images(text):
 
 
 def test_closing_check_rejects_non_permutation():
+    # a repeated coset, a coset past the last, one that indexes from the end,
+    # and every coset but one too many entries
     pres = cct.parse_presentation("<a,b | a^2, b^2, (a b)^3>")
     ct = cct.todd_coxeter(pres)
-    a = list(ct.action[0])
-    a[0] = a[1]
-    with pytest.raises(AssertionError):
-        cct.presentations._closes(cct.CosetTable(6, (tuple(a),) + ct.action[1:]), pres)
+    a = ct.action[0]
+    for column in (a[1:2] + a[1:], (6,) + a[1:], (-1,) + a[1:], a + a[:1]):
+        with pytest.raises(AssertionError):
+            cct.presentations._closes(cct.CosetTable(6, (column,) + ct.action[1:]), pres)
 
 
 @settings(max_examples=30)
