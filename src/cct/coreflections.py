@@ -105,8 +105,11 @@ def _walked_factors(spec: GeneratorSpec) -> list[FiniteGroup]:
     image: it is left out, and of equal cyclic factors only the last is
     kept.  Of a truncated generator Z/p * ... * Z/p^k only Z/p^k is walked.
     Z/b's order is a multiple of Z/a's, so the coprime stop of `radical`
-    and the domain budget treat the two alike.
+    and the domain budget treat the two alike.  A factor that is the same
+    object as a later one, cyclic or not, adds nothing either, and only its
+    last copy is walked.
     """
+    last = {id(f): i for i, f in enumerate(spec.factors)}
     cyclic = {i: f.order for i, f in enumerate(spec.factors)
               if len(minimal_generating_set(f)) == 1}
 
@@ -115,7 +118,8 @@ def _walked_factors(spec: GeneratorSpec) -> list[FiniteGroup]:
         return a is not None and any(j != i and b % a == 0 and (b > a or j > i)
                                      for j, b in cyclic.items())
 
-    return [f for i, f in enumerate(spec.factors) if not covered(i)]
+    return [f for i, f in enumerate(spec.factors)
+            if last[id(f)] == i and not covered(i)]
 
 
 def _socle_closure(factors: list[FiniteGroup], target: FiniteGroup) -> _Closure:

@@ -19,7 +19,9 @@ closures, coset labels and the subgroup walk multiply whole cosets with it.
 Inverses come from the BFS tree by one rule for both.  A group or
 subgroup never changes after construction, so what it determines is
 computed once and kept while it lives: by `cached_property` what it reads
-in its own loops, by `_memo` what other code derives from it.
+in its own loops, by `_memo` what other code derives from it.  A
+permutation group is given its element orders when it is built, read off
+the same walk of each element's cycles as its label.
 """
 
 from __future__ import annotations
@@ -90,10 +92,12 @@ class FiniteGroup:
 
     A plain record: `mul` is the index-level product, `mul_row` the row
     product and `inv` the inverse lookup that `_bfs_group` chose for the
-    group's backing.
+    group's backing; `given_orders` holds the element orders when the
+    construction read them off its raw elements, and is None otherwise.
     """
 
-    def __init__(self, order, mul, mul_row, inverses, generators, labels, backing):
+    def __init__(self, order, mul, mul_row, inverses, generators, labels, backing,
+                 given_orders=None):
         self.order = order
         self.mul = mul
         self.mul_row = mul_row
@@ -101,11 +105,17 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
+        self.given_orders = given_orders
 
     @cached_property
     def _orders(self) -> list[int]:
-        """The order of every element: one walk of <x> sets it for every
-        power of x, since x^k has order m / gcd(m, k)."""
+        """The order of every element.  A permutation group is given its
+        orders with its labels, read off each permutation's cycles by
+        `from_permutations`.  Any other group walks powers: one walk of <x>
+        sets the order of every power of x, since x^k has order
+        m / gcd(m, k)."""
+        if self.given_orders is not None:
+            return self.given_orders
         orders = [0] * self.order
         for x in range(self.order):
             if not orders[x]:
@@ -283,13 +293,16 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
 
 
 def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
-               label: Callable | None,
-               backing: str = "element-index") -> tuple[FiniteGroup, dict]:
+               label: Callable | None, backing: str = "element-index",
+               point_names: Sequence[str] | None = None) -> tuple[FiniteGroup, dict]:
     """The group `gens` generate under `mul` in canonical BFS order, and its
     raw-element index (raw element -> element index).
 
     Generators keep their list order and duplicates ([] stands for the
-    identity); `label`, if given, names each raw element.  Up to
+    identity); `label`, if given, names each raw element.  Raw elements
+    that are permutations come with `point_names` instead, the names of
+    their points: one walk of each element's cycles gives its label and its
+    order, and the group is given those orders.  Up to
     CAYLEY_TABLE_MAX elements the group's product is a Cayley table built
     along the BFS tree: if a was first reached as p * g, then x_a x_j =
     x_p (g x_j), so row a is row p (built before it) read through g's
@@ -306,7 +319,15 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     n = len(order)
     gen_idx = [pos[g] for g in gens]
-    labels = [label(x) for x in order] if label is not None else None
+    labels = orders = None
+    if point_names is not None:
+        labels, orders = [], []
+        for perm in order:
+            name, m = _cycle_walk(perm, point_names)
+            labels.append(name)
+            orders.append(m)
+    elif label is not None:
+        labels = [label(x) for x in order]
     if n <= config.CAYLEY_TABLE_MAX:
         columns: dict[int, list[int]] = {}
         table = [tuple(range(n))]
@@ -331,7 +352,8 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     inv = [0]
     for a in range(1, n):
         inv.append(index_mul(gen_invs[edge[a]], inv[parent[a]]))
-    return FiniteGroup(n, index_mul, mul_row, inv, gen_idx or [0], labels, backing), pos
+    return FiniteGroup(n, index_mul, mul_row, inv, gen_idx or [0], labels, backing,
+                       orders), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
@@ -425,22 +447,34 @@ def _name_bad_entry(rows: list[tuple], n: int):
                 raise ValueError(f"table entry {x!r} out of range at row {i}")
 
 
+def _cycle_walk(perm: Sequence[int], names: Sequence[str]) -> tuple[str, int]:
+    """The disjoint-cycle string of a 0-based permutation, point i named
+    names[i], and its order, from one walk of its cycles: the order of a
+    permutation is the lcm of its cycle lengths (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005)."""
+    seen = [False] * len(perm)
+    label = ""
+    order = 1
+    for start, x in enumerate(perm):
+        if x != start and not seen[start]:
+            cycle = [names[start]]
+            while x != start:
+                seen[x] = True
+                cycle.append(names[x])
+                x = perm[x]
+            label += "(" + " ".join(cycle) + ")"
+            order = math.lcm(order, len(cycle))
+    return label or "()", order
+
+
+def _point_names(degree: int) -> list[str]:
+    """The 1-based names of the points of a permutation of this degree."""
+    return [str(i + 1) for i in range(degree)]
+
+
 def cycle_notation(perm: Sequence[int]) -> str:
     """1-based disjoint-cycle string for a 0-based permutation tuple."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = []
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x + 1)
-            x = perm[x]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "()"
+    return _cycle_walk(perm, _point_names(len(perm)))[0]
 
 
 def _check_degree(degree: int):
@@ -472,7 +506,12 @@ def perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int,
 
 def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup:
     """Group generated by 0-based permutation tuples of the given degree,
-    at most `config.PERM_DEGREE_MAX` (InputTooLarge above it)."""
+    at most `config.PERM_DEGREE_MAX` (InputTooLarge above it).
+
+    One walk of each element's cycles gives both its label, in
+    `cycle_notation`, and its order, the lcm of its cycle lengths, so the
+    group never walks powers for its element orders.  The point names are
+    built once per group."""
     _check_degree(degree)
     identity = tuple(range(degree))
     gen_perms = [tuple(g) for g in gens]
@@ -481,8 +520,8 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup
             raise ValueError(f"{g} is not a permutation of degree {degree}")
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    return _bfs_group(identity, gen_perms, _compose, config.order_max(), cycle_notation,
-                      "permutation-composition")[0]
+    return _bfs_group(identity, gen_perms, _compose, config.order_max(), None,
+                      "permutation-composition", _point_names(degree))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,17 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
     g2, ...; so it depends only on the presented group and its generator
     order, not on how the pass ran.  Each of its columns is two
     `_compose`s: the generator's column read at the cosets in the new
-    order, then renumbered.
+    order, then renumbered.  The pass runs in its own call, so its working
+    table is freed before the check builds its sets.
     """
+    result = _hlt_pass(pres, max_cosets)
+    if not _closes(result, pres):
+        raise AssertionError("HLT pass left a relator unclosed")
+    return result
+
+
+def _hlt_pass(pres: Presentation, max_cosets: int | None) -> CosetTable:
+    """`todd_coxeter`'s pass and standardisation, without the closing check."""
     budget = max_cosets if max_cosets is not None else config.DEFAULT_MAX_COSETS
     if budget < 1:
         raise ValueError("max_cosets must be at least 1")
@@ -445,11 +454,8 @@ def todd_coxeter(pres: Presentation, max_cosets: int | None = None) -> CosetTabl
                 order.append(d)
     if len(order) != _live(parent, size):
         raise AssertionError("HLT pass left a live coset unreachable")
-    result = CosetTable(len(order), tuple(_compose(_compose(order, cols[column[s, 1]]), pos)
-                                          for s in range(k)))
-    if not _closes(result, pres):
-        raise AssertionError("HLT pass left a relator unclosed")
-    return result
+    return CosetTable(len(order), tuple(_compose(_compose(order, cols[column[s, 1]]), pos)
+                                        for s in range(k)))
 
 
 def _live(parent: list[int], size: int) -> int:

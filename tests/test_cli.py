@@ -393,6 +393,18 @@ def test_json_echo_credits_genspec_factors_to_the_generator_only(tmp_path):
     assert rep["inputs"]["orders"] == {"z2": 2, "t": 6}
 
 
+def test_json_echo_lists_a_repeated_factor_twice(tmp_path):
+    # the walk takes a factor repeated as one object once, but the echo
+    # lists every factor of the generator
+    spec = tmp_path / "g.spec"
+    spec.write_text("group g = symmetric 3\ngenspec t = freeprod g, g\n")
+    code, rep = invoke_json(["socle", "--spec", str(spec), "--gen", "t", "--target", "s4"])
+    assert code == 0
+    assert rep["inputs"]["gen_factor_orders"] == [6, 6]
+    code, alone = invoke_json(["socle", "--spec", str(spec), "--gen", "g", "--target", "s4"])
+    assert rep["result"] == alone["result"]
+
+
 def test_verify_with_spec_file(tmp_path):
     spec = tmp_path / "env.spec"
     spec.write_text(

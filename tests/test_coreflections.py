@@ -175,6 +175,35 @@ def test_cyclic_factors_dividing_another_are_not_walked(monkeypatch, catalog24):
     assert walked == [4, 6, 6]
 
 
+def test_a_factor_repeated_as_one_object_is_walked_once(monkeypatch):
+    # freeprod g, g has the homs of g twice over, so the same images; the
+    # JSON echo still lists both factors
+    env = cct.specfile.parse_spec_text("group g = symmetric 3\ngenspec t = freeprod g, g\n")
+    g, t = env["g"], env["t"]
+    assert t.factors == (g, g) and t.factors[0] is t.factors[1]
+    walked = []
+    images, lifts = cct.coreflections.hom_class_images, cct.coreflections.hom_image_lifts
+
+    def counting_images(domain, target):
+        walked.append(domain)
+        return images(domain, target)
+
+    def counting_lifts(domain, *args):
+        walked.append(domain)
+        return lifts(domain, *args)
+
+    monkeypatch.setattr(cct.coreflections, "hom_class_images", counting_images)
+    monkeypatch.setattr(cct.coreflections, "hom_image_lifts", counting_lifts)
+    for target in (cct.cyclic(8), cct.symmetric(4), cct.dihedral(12)):
+        walked.clear()
+        alone = cct.socle(g, target), cct.radical(g, target).stages
+        walked_alone = list(walked)
+        walked.clear()
+        assert (cct.socle(t, target), cct.radical(t, target).stages) == alone
+        assert walked == walked_alone and all(f is g for f in walked)
+    assert cct.radical(t, cct.cyclic(8)).stage_orders() == (2, 4, 8)  # stages 2, 3 walk lifts
+
+
 def test_socle_stops_once_it_has_the_whole_target():
     # regression bound on work: the closure skips seeds it already holds and
     # the hom scan stops at the whole group (about 41k and 25k products)

@@ -872,21 +872,62 @@ def bfs_perms(gens, degree):
     return order
 
 
+def cycle_string(perm):
+    """Oracle: the cycles of a 0-based permutation, each from its least
+    point and in order of those points, on 1-based points."""
+    cycles, done = [], set()
+    for start in range(len(perm)):
+        if start not in done:
+            cycle = [start]
+            while perm[cycle[-1]] != start:
+                cycle.append(perm[cycle[-1]])
+            done.update(cycle)
+            if len(cycle) > 1:
+                cycles.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
+    return "".join(cycles) or "()"
+
+
+@pytest.mark.parametrize("cycles, degree, expected", [
+    ([], 1, "()"),
+    ([[1, 2]], 2, "(1 2)"),
+    ([[10, 12], [1, 11, 3]], 12, "(1 11 3)(10 12)"),
+    ([[9, 10], [2, 3]], 10, "(2 3)(9 10)"),
+    ([list(range(12, 0, -1))], 12, "(1 12 11 10 9 8 7 6 5 4 3 2)"),
+])
+def test_cycle_notation_values(cycles, degree, expected):
+    perm = cct.perm_from_cycles(cycles, degree)
+    assert cct.groups.cycle_notation(perm) == cycle_string(perm) == expected
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_from_permutations_table_matches_all_products(data):
-    degree = data.draw(st.integers(1, 6))
-    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
-    gens = [tuple(g) for g in gens]
+    # up to six moved points of up to twelve, so points 10 to 12 show up
+    # with two digits; with the table cap at 0 the group composes its
+    # permutations
+    degree = data.draw(st.integers(1, 12))
+    support = data.draw(st.lists(st.integers(0, degree - 1), unique=True, max_size=6))
+
+    def on_support(images):
+        perm = list(range(degree))
+        for point, image in zip(support, images):
+            perm[point] = image
+        return tuple(perm)
+
+    gens = data.draw(st.lists(st.permutations(support).map(on_support), max_size=3))
     if gens and data.draw(st.booleans()):
         gens.insert(data.draw(st.integers(0, len(gens))), tuple(range(degree)))
     if gens and data.draw(st.booleans()):
         gens.append(data.draw(st.sampled_from(gens)))
-    group = cct.from_permutations(gens, degree)
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 0)
+        group = cct.from_permutations(gens, degree)
     order = bfs_perms(gens, degree)
     pos = {p: i for i, p in enumerate(order)}
     assert group.order == len(order)
-    assert group.labels == tuple(cct.groups.cycle_notation(p) for p in order)
+    assert group.labels == tuple(cycle_string(p) for p in order)
+    assert group.element_orders() == [naive_element_order(group, x) for x in range(group.order)]
     assert group.generators == (tuple(pos[g] for g in gens) or (0,))
     assert cayley_table(group) == [[pos[tuple(b[i] for i in a)] for b in order] for a in order]
     assert all(group.mul(x, group.inv(x)) == 0 for x in range(group.order))
