@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groups import (FiniteGroup, Subgroup, _Closure, _compose, _cosets, _normal_stage,
-                     is_normal, quotient)
+from .groups import (FiniteGroup, Subgroup, _Closure, _compose, _cosets, _generating_set,
+                     _normal_stage, is_normal, quotient)
 from .homs import (Homomorphism, hom_class_images, hom_class_walk, hom_image_lifts, iter_homs,
                    minimal_generating_set)
 
@@ -249,6 +249,8 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
     maps S(A) into S(B) and R(A) into R(B).  These are normal, so
     only the homs up to conjugacy (`homs.hom_class_walk`) map the stages'
     generators; a trivial source stage or a whole target needs no hom.
+    The normality checks, `as_group` and these maps share each stage's one
+    generating set (`groups._generating_set`).
     """
     specs = [(name, GeneratorSpec.of(gen)) for name, gen in gens]
     entries = list(catalog)
@@ -288,8 +290,7 @@ def check_invariants(gens: list[tuple[str, GeneratorSpec | FiniteGroup]],
 
     small = [i for i, entry in enumerate(entries) if entry.group.order <= 12]
     names = ("socle-functoriality", "radical-functoriality")
-    seeds = {(k, i): [_Closure(stage.parent).extend(stage.sorted_members()).gens
-                      for stage in stages[k][i]]
+    seeds = {(k, i): [_generating_set(stage) for stage in stages[k][i]]
              for k in range(len(specs)) for i in small}
     for a in small:
         for b in small:

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cct
+from cct.cli import _BUILTIN_GENS
 from cct.errors import NotAGroup, NotNormal, OrderBudgetExceeded
+from cct.specfile import builtin_group
 
 
 def brute_closure(group, seed):
@@ -593,6 +595,27 @@ def test_is_normal_examples(standard_groups):
         assert cct.is_normal(z6, sub)
 
 
+def naive_is_normal(group, members):
+    """Oracle: every member conjugated by every element stays a member."""
+    return all(group.mul(group.mul(g, h), group.inv(g)) in members
+               for g in range(group.order) for h in members)
+
+
+@settings(max_examples=100)
+@given(random_groups())
+def test_is_normal_matches_conjugating_every_member(group):
+    for sub in cct.all_subgroups(group):
+        assert cct.is_normal(group, sub) == naive_is_normal(group, sub.members), sub
+
+
+def test_radical_stages_are_normal_by_the_oracle(catalog24):
+    gens = [builtin_group(name) for name in _BUILTIN_GENS]
+    for entry in catalog24:
+        for gen in gens:
+            for stage in cct.radical(gen, entry.group).stages:
+                assert naive_is_normal(entry.group, stage.members), (entry.name, stage)
+
+
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -751,6 +774,24 @@ def test_subgroup_as_group(standard_groups):
     g = a3.as_group()
     assert g.order == 3
     assert cct.isomorphic(g, cct.cyclic(3))
+
+
+def test_is_normal_and_as_group_share_one_generating_set(monkeypatch):
+    s4 = cct.symmetric(4)
+    sub = next(sub for sub in cct.all_subgroups(s4) if sub.order == 8)
+    extend = cct.groups._Closure.extend
+    closed = []
+
+    def counting(closure, seeds):
+        seeds = list(seeds)
+        closed.append(seeds)
+        return extend(closure, seeds)
+
+    monkeypatch.setattr(cct.groups._Closure, "extend", counting)
+    assert not cct.is_normal(s4, sub)  # a Sylow 2-subgroup of S4, one of three
+    assert sub.as_group().order == 8
+    assert not cct.is_normal(s4, sub)
+    assert closed == [list(sub.sorted_members())]
 
 
 def test_permutation_backing_above_table_cap(monkeypatch):
