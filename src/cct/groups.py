@@ -6,17 +6,24 @@ generator list (frontier processed FIFO, generators tried in list order).
 Repeated runs therefore number elements identically, which every
 downstream enumeration relies on.
 
-Every group is built by `_bfs_group`, which fixes its product once.  Up
-to CAYLEY_TABLE_MAX elements the product reads a full multiplication table
-("cayley-table"), built along the BFS tree from one left-multiplication
-column per generator: 2 n |gens| products plus one `_compose` per row, in
-n^2 memory.  Larger groups multiply the raw elements they were built from and
+Every group is built by `_bfs_group`, which fixes its product once.  It
+sees the raw product as left multipliers y -> x y, one built per element
+and mapped over many y: for a permutation, the `itemgetter` that reads y
+through it.  The BFS takes n |gens| raw products.  Up to CAYLEY_TABLE_MAX
+elements the product reads a full multiplication table ("cayley-table"),
+built along the BFS tree from one left-multiplication column per
+generator: n |gens| more products, and each row one read of its tree
+parent's row through the column, whose multiplier is built once, in n^2
+memory.  Larger groups multiply the raw elements they were built from and
 look the product up in a hash index: "permutation-composition" for
 permutation groups, "element-index" for the rest.  The row product
 `mul_row(x, ys)`, x times each element of a sequence, is one `_compose`
-of ys through row x on a table and one `mul` per element otherwise; the
-closures, coset labels and the subgroup walk multiply whole cosets with it.
-Inverses come from the BFS tree by one rule for both.  Normality is
+of ys through row x on a table and x's multiplier mapped over ys
+otherwise; the closures, coset labels and the subgroup walk multiply whole
+cosets with it, and a closure stops by Lagrange's theorem once it holds
+more than a proper subgroup can.  A group keeps no BFS tree: each inverse
+is computed along it when first read, by one rule for every backing, the
+tree found again from the product.  Normality is
 decided on a generating set of the subgroup, by one rule (`_normal`), at
 most log2 |H| conjugates per group generator instead of |H|.  A group or
 subgroup never changes after construction, so what it determines is
@@ -32,7 +39,7 @@ import math
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cache, cached_property, partial, wraps
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
@@ -92,18 +99,17 @@ def _memo(f):
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
-    A plain record: `mul` is the index-level product, `mul_row` the row
-    product and `inv` the inverse lookup that `_bfs_group` chose for the
-    group's backing; `given_orders` holds the element orders when the
-    construction read them off its raw elements, and is None otherwise.
+    A plain record: `mul` is the index-level product and `mul_row` the row
+    product that `_bfs_group` chose for the group's backing; `given_orders`
+    holds the element orders when the construction read them off its raw
+    elements, and is None otherwise.  Inverses are derived from `mul` and
+    the generators, each on its first read (`inv`).
     """
 
-    def __init__(self, order, mul, mul_row, inverses, generators, labels, backing,
-                 given_orders=None):
+    def __init__(self, order, mul, mul_row, generators, labels, backing, given_orders=None):
         self.order = order
         self.mul = mul
         self.mul_row = mul_row
-        self.inv = inverses.__getitem__
         self.generators = tuple(generators)
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
@@ -129,6 +135,53 @@ class FiniteGroup:
                     if not orders[y]:
                         orders[y] = m // math.gcd(m, k)
         return orders
+
+    @cached_property
+    def _generator_inverses(self) -> list[int]:
+        """g^-1 = g^(m-1) for each stored generator g of order m, by walking
+        the powers of g.  m divides |G|, so a walk that passes |G| steps
+        shows a product that is not a group's and raises AssertionError."""
+        mul = self.mul
+        out = []
+        for g in self.generators:
+            y = g
+            for _ in range(self.order):
+                z = mul(y, g)
+                if z == 0:
+                    break
+                y = z
+            else:
+                raise AssertionError(f"no power of generator {g} is the identity")
+            out.append(y)
+        return out
+
+    @cached_property
+    def _inverses(self) -> dict[int, int]:
+        """The inverses read so far, by element."""
+        return {0: 0}
+
+    def inv(self, x: int) -> int:
+        """x^-1, computed along the BFS tree when first read and then kept.
+
+        Element a > 0 was first reached as p g for the least p with p g = a
+        for some generator g, that is the least p = a g^-1, so its BFS
+        parent comes from one product per generator, and a^-1 = g^-1 p^-1.
+        The walk climbs from x to the nearest element whose inverse is
+        known, each step to a smaller index, so it ends."""
+        known = self._inverses
+        if x in known:
+            return known[x]
+        path = []
+        while x not in known:
+            p, ginv = min((self.mul(x, ginv), ginv) for ginv in self._generator_inverses)
+            if p >= x:
+                raise AssertionError(f"element {x} has no BFS parent: the product is not a group's")
+            path.append((x, ginv))
+            x = p
+        y = known[x]
+        for a, ginv in reversed(path):
+            y = known[a] = self.mul(ginv, y)
+        return y
 
     def element_order(self, x: int) -> int:
         """Least m >= 1 with x^m = identity; always divides |G|."""
@@ -190,7 +243,8 @@ class Subgroup:
         """The subgroup as a standalone FiniteGroup (labels inherited), generated
         by `_generating_set`, the same set `is_normal` conjugates."""
         gens = _generating_set(self) or [0]
-        return _bfs_group(0, gens, self.parent.mul, self.order + 1, self.parent.label)[0]
+        return _bfs_group(0, gens, _left_multipliers(self.parent.mul), self.order + 1,
+                          self.parent.label)[0]
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -258,8 +312,9 @@ def _compose(p: Sequence[int], q) -> tuple[int, ...]:
     matching right actions on cosets.
 
     The one kernel that reads a whole sequence through another: permutation
-    products, Cayley-table rows, `from_cayley`'s associativity rows and the
-    coset-list passes of coset enumeration.  `itemgetter` does the reads in
+    products, Cayley-table row products, `from_cayley`'s associativity rows
+    and the coset-list passes of coset enumeration.  `_perm_left` is p's
+    multiplier, built once for many q.  `itemgetter` does the reads in
     C; of one index it returns the bare item and of none it raises, so
     `len(p) <= 1` is answered directly.
     """
@@ -268,9 +323,26 @@ def _compose(p: Sequence[int], q) -> tuple[int, ...]:
     return (q[p[0]],) if p else ()
 
 
-def _bfs_order(identity, gens: Sequence, mul: Callable,
+def _left_multipliers(mul: Callable) -> Callable:
+    """x -> (y -> mul(x, y)) for a product written as a Python function of
+    two arguments: `mul.__get__(x)` binds x as its first argument, as a
+    method binds its instance.  Called from Python code, the bound method
+    runs about as fast as `mul` itself; a `partial` would add a call from
+    C to every product."""
+    return mul.__get__
+
+
+def _perm_left(p: Sequence[int]) -> Callable:
+    """The left multiplier of a permutation, q -> `_compose(p, q)`, built
+    once for many q: `itemgetter(*p)` for more than one point."""
+    return itemgetter(*p) if len(p) > 1 else partial(_compose, p)
+
+
+def _bfs_order(identity, gens: Sequence, left: Callable,
                limit: int) -> tuple[list, dict, list[int], list[int]]:
-    """Closure of `gens` from `identity`, in canonical BFS order, with its tree.
+    """Closure of `gens` from `identity`, in canonical BFS order, with its
+    tree; `left(x)` is x's left multiplier y -> x y, built once per element
+    and applied to each generator.
 
     Element a > 0 was first reached as order[parent[a]] * gens[edge[a]].
     """
@@ -280,9 +352,9 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
     edge = [0]
     head = 0
     while head < len(order):
-        x = order[head]
+        times = left(order[head])
         for i, g in enumerate(gens):
-            y = mul(x, g)
+            y = times(g)
             if y not in pos:
                 if len(order) >= limit:
                     raise OrderBudgetExceeded(limit, "group closure")
@@ -294,31 +366,34 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
     return order, pos, parent, edge
 
 
-def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
+def _bfs_group(identity, gens: Sequence, left: Callable, limit: int,
                label: Callable | None, backing: str = "element-index",
                point_names: Sequence[str] | None = None) -> tuple[FiniteGroup, dict]:
-    """The group `gens` generate under `mul` in canonical BFS order, and its
+    """The group `gens` generate under the product with left multipliers
+    `left` (`left(x)` maps y to x y) in canonical BFS order, and its
     raw-element index (raw element -> element index).
 
     Generators keep their list order and duplicates ([] stands for the
     identity); `label`, if given, names each raw element.  Raw elements
     that are permutations come with `point_names` instead, the names of
     their points: one walk of each element's cycles gives its label and its
-    order, and the group is given those orders.  Up to
+    order, and the group is given those orders.  Each raw product is one
+    call of a left multiplier, built once per element: the BFS applies
+    each element's to the generators, n |gens| products.  Up to
     CAYLEY_TABLE_MAX elements the group's product is a Cayley table built
     along the BFS tree: if a was first reached as p * g, then x_a x_j =
     x_p (g x_j), so row a is row p (built before it) read through g's
-    left-multiplication column L_g[j] = pos[g x_j], at n products per
-    generator on a tree edge (2 n |gens| with the BFS) and one `_compose`
-    per row, a tuple of exactly n entries, and x times a sequence ys is
-    row x read through ys, one `_compose`.
-    Above it the product multiplies the raw elements and looks the result
-    up in the index, under the name `backing`, and a row product calls it
-    once per element.  Either way the inverses come from the same tree, on
-    indices: (p g)^-1 = g^-1 p^-1, with g^-1 = g^(m-1) for m the order of
-    g.
+    left-multiplication column L_g[j] = pos[g x_j], g's multiplier applied
+    to each element, at n products per generator on a tree edge (2 n
+    |gens| with the BFS).  The column is a permutation of the indices, and
+    its own multiplier, built once, reads each row off its parent's: a
+    tuple of exactly n entries per row.  x times a sequence ys is row x
+    read through ys, one `_compose`.  Above it the product multiplies the raw elements and looks
+    the result up in the index, under the name `backing`, and a row
+    product maps one multiplier, x's, over the raw elements of ys.  The
+    group keeps no tree: `FiniteGroup.inv` finds it again from the product.
     """
-    order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
+    order, pos, parent, edge = _bfs_order(identity, gens, left, limit)
     n = len(order)
     gen_idx = [pos[g] for g in gens]
     labels = orders = None
@@ -331,38 +406,29 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     elif label is not None:
         labels = [label(x) for x in order]
     if n <= config.CAYLEY_TABLE_MAX:
-        columns: dict[int, list[int]] = {}
+        columns: dict[int, Callable] = {}
         table = [tuple(range(n))]
         for a in range(1, n):
             col = columns.get(edge[a])
             if col is None:
-                g = gens[edge[a]]
-                col = columns[edge[a]] = [pos[mul(g, x)] for x in order]
-            table.append(_compose(col, table[parent[a]]))
+                times = left(gens[edge[a]])
+                col = columns[edge[a]] = _perm_left([pos[times(x)] for x in order])
+            table.append(col(table[parent[a]]))
         index_mul = lambda a, b: table[a][b]
         mul_row = lambda a, ys: _compose(ys, table[a])
         backing = "cayley-table"
     else:
-        index_mul = lambda a, b: pos[mul(order[a], order[b])]
-        mul_row = lambda a, ys: [index_mul(a, y) for y in ys]
-    gen_invs = []
-    for g in gen_idx:
-        y = g
-        while (z := index_mul(y, g)) != 0:
-            y = z
-        gen_invs.append(y)
-    inv = [0]
-    for a in range(1, n):
-        inv.append(index_mul(gen_invs[edge[a]], inv[parent[a]]))
-    return FiniteGroup(n, index_mul, mul_row, inv, gen_idx or [0], labels, backing,
-                       orders), pos
+        index_mul = lambda a, b: pos[left(order[a])(order[b])]
+        mul_row = lambda a, ys: list(map(pos.__getitem__,
+                                         map(left(order[a]), map(order.__getitem__, ys))))
+    return FiniteGroup(n, index_mul, mul_row, gen_idx or [0], labels, backing, orders), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
               labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
     """Renumber a trusted product on 0..n-1 into canonical BFS order."""
     label = labels.__getitem__ if labels is not None else None
-    group = _bfs_group(identity, _dedupe(gens), mul, n + 1, label)[0]
+    group = _bfs_group(identity, _dedupe(gens), _left_multipliers(mul), n + 1, label)[0]
     if group.order != n:
         raise ValueError("generators do not generate the whole table")
     return group
@@ -429,7 +495,7 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     for x in range(n):
         if x not in reached:
             gens.append(x)
-            reached = set(_bfs_order(identity, gens, mul, n + 1)[0])
+            reached = set(_bfs_order(identity, gens, _left_multipliers(mul), n + 1)[0])
     for g in gens:
         row_g = rows[g]
         for a, row_a in enumerate(rows):
@@ -522,7 +588,7 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup
             raise ValueError(f"{g} is not a permutation of degree {degree}")
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    return _bfs_group(identity, gen_perms, _compose, config.order_max(), None,
+    return _bfs_group(identity, gen_perms, _perm_left, config.order_max(), None,
                       "permutation-composition", _point_names(degree))[0]
 
 
@@ -680,6 +746,12 @@ def _prime_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@cache
+def _least_prime(m: int) -> int:
+    """The least prime dividing m >= 2."""
+    return _prime_factorization(m)[0][0]
+
+
 class _Closure:
     """A subgroup grown one generator at a time (Dimino's algorithm).
 
@@ -687,7 +759,11 @@ class _Closure:
     so far.  A seed that is already a member is skipped; a new one adds
     whole left cosets r H of the old subgroup H, each by one row product,
     until the union is closed again (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, section 4.1).
+    Computational Group Theory, 2005, section 4.1).  By Lagrange the new
+    subgroup K has an order that is a multiple of |H| and divides n = |G|,
+    so a proper K has at most |H| m / p = n / p elements, p the least prime
+    dividing m = [G : H]: once the union holds more, K is G, and the
+    remaining cosets are not multiplied.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -715,6 +791,8 @@ class _Closure:
                 y = mul(y, g)
             return
         old = list(members)
+        n = self.group.order
+        proper_max = n // _least_prime(n // len(old))
         # the union of the cosets r * old is closed under left multiplication
         # by every accepted generator t, hence a subgroup, once each t * r
         # lies in it (t r h = r' h' h); a new t * r starts a new coset
@@ -724,7 +802,9 @@ class _Closure:
                 tr = mul(t, r)
                 if tr not in members:
                     members.update(mul_row(tr, old))
-                    if self.is_whole:
+                    if len(members) > proper_max:
+                        if len(members) < n:
+                            members.update(range(n))
                         return
                     reps.append(tr)
 
@@ -875,7 +955,8 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     def mul(a: int, b: int) -> int:
         return coset_of[group.mul(reps[a], reps[b])]
 
-    target, pos = _bfs_group(0, gen_cosets, mul, m + 1, lambda c: group.label(reps[c]))
+    target, pos = _bfs_group(0, gen_cosets, _left_multipliers(mul), m + 1,
+                             lambda c: group.label(reps[c]))
     if target.order != m:
         raise AssertionError("generator images fail to generate the quotient")
     projection = _compose(coset_of, pos)

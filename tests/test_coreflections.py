@@ -223,6 +223,26 @@ def test_socle_stops_once_it_has_the_whole_target():
         assert calls < 100_000
 
 
+def test_socle_closure_stops_by_lagrange():
+    # socle(Z/2, S7) is S7: once the union of cosets passes n/p elements,
+    # p the least prime dividing [G : H], the closure is whole, so the last
+    # coset step multiplies under half of S7 (all 5038 other elements
+    # without the stop)
+    s7 = cct.symmetric(7)
+    mul_row = s7.mul_row
+    products = 0
+
+    def counted(x, ys):
+        nonlocal products
+        ys = list(ys)
+        products += len(ys)
+        return mul_row(x, ys)
+
+    s7.mul_row = counted
+    assert cct.socle(cct.cyclic(2), s7).order == 5040
+    assert 0 < products < s7.order // 2
+
+
 def test_socle_checks_normality_only_of_a_proper_subgroup(monkeypatch):
     # the stage check applies the normality rule to the closure's own
     # accepted generators, not through `is_normal`
@@ -590,3 +610,40 @@ def test_corpus_functoriality(standard_groups, catalog8):
                 for f in homs:
                     assert {f.full_map[x] for x in s_src.members} <= s_dst.members
                     assert {f.full_map[x] for x in t_src.members} <= t_dst.members
+
+
+# ---------------------------------------------------------------------------
+# cross-generator laws: A is B-generated iff S_A(G) <= S_B(G) for every G,
+# and A is B-constructible iff R_A(G) <= R_B(G) for every G.  One way, an
+# image of A is an image of a B-generated group (a group with only trivial
+# homs from B has only trivial homs from A); the other way, take G = A.
+
+
+def test_generators_are_ordered_by_their_socles_and_radicals(catalog24):
+    gens = [e.group for e in catalog24 if 2 <= e.group.order <= 12]
+    assert len(gens) == 30
+    targets = [e.group for e in catalog24]
+    socles = [[cct.socle(a, g).members for g in targets] for a in gens]
+    radicals = [[cct.radical(a, g).final.members for g in targets] for a in gens]
+    for i, a in enumerate(gens):
+        for j, b in enumerate(gens):
+            assert cct.is_generated(b, a) == all(
+                s_a <= s_b for s_a, s_b in zip(socles[i], socles[j])), (i, j)
+            assert cct.is_constructible(b, a) == all(
+                r_a <= r_b for r_a, r_b in zip(radicals[i], radicals[j])), (i, j)
+
+
+@settings(max_examples=60)
+@given(random_groups().filter(lambda g: g.order > 1),
+       random_groups().filter(lambda g: g.order > 1), random_groups())
+def test_generator_laws_on_random_groups(a, b, g):
+    # the laws' left sides over G = A, B and one more group
+    for target in (a, b, g):
+        if cct.is_generated(b, a):
+            assert cct.socle(a, target).members <= cct.socle(b, target).members
+        if cct.is_constructible(b, a):
+            assert (cct.radical(a, target).final.members
+                    <= cct.radical(b, target).final.members)
+    assert cct.is_generated(b, a) == (cct.socle(a, a).members <= cct.socle(b, a).members)
+    assert cct.is_constructible(b, a) == (cct.radical(a, a).final.members
+                                          <= cct.radical(b, a).final.members)

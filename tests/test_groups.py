@@ -1,5 +1,6 @@
 """Group core: constructions, subgroup algebra, quotients."""
 
+import collections
 import functools
 import itertools
 import re
@@ -1016,19 +1017,71 @@ def test_as_group_table_is_the_restricted_product(data):
     assert cct.subgroup_generated(group, group.generators).order == group.order
 
 
+def counting_multiplier_calls(monkeypatch):
+    """Count the calls of every multiplier that `groups._perm_left` builds,
+    by the length of its permutation: raw products of degree d under d,
+    reads of a Cayley-table row through a column of n entries under n."""
+    calls = collections.Counter()
+    perm_left = cct.groups._perm_left
+
+    def counting(p):
+        left = perm_left(p)
+
+        def counted(q):
+            calls[len(p)] += 1
+            return left(q)
+        return counted
+
+    monkeypatch.setattr(cct.groups, "_perm_left", counting)
+    return calls
+
+
 def test_from_permutations_composes_only_along_the_tree(monkeypatch):
-    calls = 0
-    compose = cct.groups._compose
-
-    def counting(p, q):
-        nonlocal calls
-        calls += 1
-        return compose(p, q)
-
-    monkeypatch.setattr(cct.groups, "_compose", counting)
+    # n |gens| raw products for the BFS and n per generator column; one
+    # read per table row, each through its tree edge's column
+    calls = counting_multiplier_calls(monkeypatch)
     a7 = cct.alternating(7)
     assert a7.order == 2520 and a7.backing == "cayley-table"
-    assert calls <= 4 * a7.order * len(a7.generators)
+    assert a7.order <= calls[7] <= 2 * a7.order * len(a7.generators)
+    assert calls[a7.order] == a7.order - 1
+    assert set(calls) == {7, a7.order}
+
+
+def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
+    # the BFS applies each element's multiplier to the generators once,
+    # and no inverse is computed until one is read
+    calls = counting_multiplier_calls(monkeypatch)
+    s7 = cct.symmetric(7)
+    assert s7.backing == "permutation-composition"
+    built = calls[7]
+    assert built == s7.order * len(s7.generators) <= 2 * s7.order * len(s7.generators)
+    cycle = s7.generators[1]
+    assert s7.mul(cycle, s7.inv(cycle)) == 0
+    # the generators' power walks (1 + 6 products) and one step up the tree
+    assert built < calls[7] <= built + 20
+
+
+def test_inverse_walk_stops_on_a_product_that_is_not_a_group():
+    # no power of 1 is 0 under min(a + b, 3): the walk stops after |G| steps
+    group = cct.groups._bfs_group(
+        0, [1], cct.groups._left_multipliers(lambda a, b: min(a + b, 3)), 10, None)[0]
+    assert group.order == 4
+    with pytest.raises(AssertionError, match="identity"):
+        group.inv(1)
+
+
+@pytest.mark.parametrize("build, backing", [
+    (lambda: cct.symmetric(7), "permutation-composition"),
+    (lambda: cct.alternating(7), "cayley-table"),
+], ids=["s7", "a7"])
+def test_row_products_and_inverses_agree_with_the_product(build, backing):
+    group = build()
+    assert group.backing == backing
+    ys = list(range(group.order - 1, -1, -97))  # every 97th element, in descending order
+    for x in range(group.order):
+        assert list(group.mul_row(x, ys)) == [group.mul(x, y) for y in ys]
+    assert all(group.mul(x, group.inv(x)) == 0 == group.mul(group.inv(x), x)
+               for x in range(group.order))
 
 
 @pytest.mark.parametrize("length", [1, 2, 7])
