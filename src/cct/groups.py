@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial, wraps
 from itertools import chain
 from operator import itemgetter
+from types import FunctionType
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import config
@@ -243,7 +244,7 @@ class Subgroup:
         """The subgroup as a standalone FiniteGroup (labels inherited), generated
         by `_generating_set`, the same set `is_normal` conjugates."""
         gens = _generating_set(self) or [0]
-        return _bfs_group(0, gens, _left_multipliers(self.parent.mul), self.order + 1,
+        return _bfs_group(0, gens, self.parent.mul, self.order + 1,
                           self.parent.label)[0]
 
     def __contains__(self, x: int) -> bool:
@@ -324,12 +325,18 @@ def _compose(p: Sequence[int], q) -> tuple[int, ...]:
 
 
 def _left_multipliers(mul: Callable) -> Callable:
-    """x -> (y -> mul(x, y)) for a product written as a Python function of
-    two arguments: `mul.__get__(x)` binds x as its first argument, as a
-    method binds its instance.  Called from Python code, the bound method
-    runs about as fast as `mul` itself; a `partial` would add a call from
-    C to every product."""
-    return mul.__get__
+    """x -> (y -> mul(x, y)), the left multipliers of a two-argument
+    product, each built once for many y.  The permutation product
+    `_compose` has `_perm_left`.  A Python function has `mul.__get__`,
+    which binds x as its first argument, as a method binds its instance:
+    called from Python code, the bound method runs about as fast as `mul`
+    itself.  Any other callable (a `partial`, a builtin, a bound method)
+    has a `partial`, one more call from C per product."""
+    if mul is _compose:
+        return _perm_left
+    if isinstance(mul, FunctionType):
+        return mul.__get__
+    return partial(partial, mul)
 
 
 def _perm_left(p: Sequence[int]) -> Callable:
@@ -338,11 +345,12 @@ def _perm_left(p: Sequence[int]) -> Callable:
     return itemgetter(*p) if len(p) > 1 else partial(_compose, p)
 
 
-def _bfs_order(identity, gens: Sequence, left: Callable,
+def _bfs_order(identity, gens: Sequence, mul: Callable,
                limit: int) -> tuple[list, dict, list[int], list[int]]:
-    """Closure of `gens` from `identity`, in canonical BFS order, with its
-    tree; `left(x)` is x's left multiplier y -> x y, built once per element
-    and applied to each generator.
+    """Closure of `gens` from `identity` under the product `mul`, in
+    canonical BFS order, with its tree; each element's left multiplier
+    y -> x y (`_left_multipliers`) is built once and applied to each
+    generator.
 
     Element a > 0 was first reached as order[parent[a]] * gens[edge[a]].
     """
@@ -351,6 +359,7 @@ def _bfs_order(identity, gens: Sequence, left: Callable,
     parent = [0]
     edge = [0]
     head = 0
+    left = _left_multipliers(mul)
     while head < len(order):
         times = left(order[head])
         for i, g in enumerate(gens):
@@ -366,20 +375,20 @@ def _bfs_order(identity, gens: Sequence, left: Callable,
     return order, pos, parent, edge
 
 
-def _bfs_group(identity, gens: Sequence, left: Callable, limit: int,
+def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
                label: Callable | None, backing: str = "element-index",
                point_names: Sequence[str] | None = None) -> tuple[FiniteGroup, dict]:
-    """The group `gens` generate under the product with left multipliers
-    `left` (`left(x)` maps y to x y) in canonical BFS order, and its
-    raw-element index (raw element -> element index).
+    """The group `gens` generate under the product `mul` in canonical BFS
+    order, and its raw-element index (raw element -> element index).
 
     Generators keep their list order and duplicates ([] stands for the
     identity); `label`, if given, names each raw element.  Raw elements
     that are permutations come with `point_names` instead, the names of
     their points: one walk of each element's cycles gives its label and its
     order, and the group is given those orders.  Each raw product is one
-    call of a left multiplier, built once per element: the BFS applies
-    each element's to the generators, n |gens| products.  Up to
+    call of a left multiplier (`_left_multipliers`), built once per
+    element: the BFS applies each element's to the generators, n |gens|
+    products.  Up to
     CAYLEY_TABLE_MAX elements the group's product is a Cayley table built
     along the BFS tree: if a was first reached as p * g, then x_a x_j =
     x_p (g x_j), so row a is row p (built before it) read through g's
@@ -388,12 +397,14 @@ def _bfs_group(identity, gens: Sequence, left: Callable, limit: int,
     |gens| with the BFS).  The column is a permutation of the indices, and
     its own multiplier, built once, reads each row off its parent's: a
     tuple of exactly n entries per row.  x times a sequence ys is row x
-    read through ys, one `_compose`.  Above it the product multiplies the raw elements and looks
-    the result up in the index, under the name `backing`, and a row
-    product maps one multiplier, x's, over the raw elements of ys.  The
-    group keeps no tree: `FiniteGroup.inv` finds it again from the product.
+    read through ys, one `_compose`.  Above it the product multiplies the
+    raw elements and looks the result up in the index, under the name
+    `backing`, and a row product maps one multiplier, x's, over the raw
+    elements of ys.  The group keeps no tree: `FiniteGroup.inv` finds it
+    again from the product.
     """
-    order, pos, parent, edge = _bfs_order(identity, gens, left, limit)
+    order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
+    left = _left_multipliers(mul)
     n = len(order)
     gen_idx = [pos[g] for g in gens]
     labels = orders = None
@@ -428,7 +439,7 @@ def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
               labels: Sequence[str] | None, identity: int = 0) -> FiniteGroup:
     """Renumber a trusted product on 0..n-1 into canonical BFS order."""
     label = labels.__getitem__ if labels is not None else None
-    group = _bfs_group(identity, _dedupe(gens), _left_multipliers(mul), n + 1, label)[0]
+    group = _bfs_group(identity, _dedupe(gens), mul, n + 1, label)[0]
     if group.order != n:
         raise ValueError("generators do not generate the whole table")
     return group
@@ -495,7 +506,7 @@ def from_cayley(table: Sequence[Sequence[int]], labels: Sequence[str] | None = N
     for x in range(n):
         if x not in reached:
             gens.append(x)
-            reached = set(_bfs_order(identity, gens, _left_multipliers(mul), n + 1)[0])
+            reached = set(_bfs_order(identity, gens, mul, n + 1)[0])
     for g in gens:
         row_g = rows[g]
         for a, row_a in enumerate(rows):
@@ -588,7 +599,7 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup
             raise ValueError(f"{g} is not a permutation of degree {degree}")
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    return _bfs_group(identity, gen_perms, _perm_left, config.order_max(), None,
+    return _bfs_group(identity, gen_perms, _compose, config.order_max(), None,
                       "permutation-composition", _point_names(degree))[0]
 
 
@@ -955,7 +966,7 @@ def quotient(group: FiniteGroup, kernel: Subgroup) -> QuotientMap:
     def mul(a: int, b: int) -> int:
         return coset_of[group.mul(reps[a], reps[b])]
 
-    target, pos = _bfs_group(0, gen_cosets, _left_multipliers(mul), m + 1,
+    target, pos = _bfs_group(0, gen_cosets, mul, m + 1,
                              lambda c: group.label(reps[c]))
     if target.order != m:
         raise AssertionError("generator images fail to generate the quotient")

@@ -52,8 +52,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import config
 from .errors import OrderBudgetExceeded
 from .groups import (FiniteGroup, Subgroup, _bfs_order, _Closure, _compose, _conjugates,
-                     _first_bad_edge, _left_multipliers, _memo, _power, _prime_factorization,
-                     normal_closure, subgroup_generated)
+                     _first_bad_edge, _memo, _power, _prime_factorization, normal_closure,
+                     subgroup_generated)
 
 __all__ = [
     "Homomorphism",
@@ -384,7 +384,7 @@ def _chain_steps(domain: FiniteGroup) -> list[_Level]:
     levels = []
     mapped = {0}
     for j in range(len(gens)):
-        order, pos, parent, edge = _bfs_order(0, gens[:j + 1], _left_multipliers(mul),
+        order, pos, parent, edge = _bfs_order(0, gens[:j + 1], mul,
                                               domain.order + 1)
         rank = {x: r for r, x in enumerate(x for x in order if x not in mapped)}
         steps, tree = [], set()

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import BudgetExceeded, InputTooLarge, ParseError
-from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose, _left_multipliers, _power
+from .groups import FiniteGroup, _bfs_group, _bfs_order, _compose, _power
 
 __all__ = [
     "Word",
@@ -621,8 +621,7 @@ def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
     """
     ct = todd_coxeter(pres, max_cosets)
     action = ct.action
-    order, _, parent, edge = _bfs_order(0, range(len(action)),
-                                        _left_multipliers(lambda c, s: action[s][c]),
+    order, _, parent, edge = _bfs_order(0, range(len(action)), lambda c, s: action[s][c],
                                         ct.num_cosets + 1)
     paths = [()] * ct.num_cosets  # coset -> generator symbols that reach it from 0
     for c, p, s in zip(order[1:], parent[1:], edge[1:]):
@@ -635,7 +634,7 @@ def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
 
     names = pres.generators
     sep = "" if all(len(name) == 1 for name in names) else "*"
-    group = _bfs_group(0, [perm[0] for perm in action], _left_multipliers(follow),
+    group = _bfs_group(0, [perm[0] for perm in action], follow,
                        config.order_max(), lambda c: sep.join(names[s] for s in paths[c]) or "1")[0]
     if group.order != ct.num_cosets:
         raise AssertionError("regular action closure disagrees with coset count")

@@ -5,25 +5,24 @@ For each fault the script copies `src/` to a temporary directory and
 applies the one edit.  The old text must occur exactly once, so a fault
 whose code has changed is reported as stale instead of being skipped.  It
 then runs the fault's tests against the copy in a subprocess with a time
-limit, and reports the fault as killed (a test failed), survived (every
-test passed) or timed out.  A timeout counts as killed, and is a finding
-of its own: some loop ran without a bound.  Before any fault, the same
-tests run once on an unedited copy and must pass, which also shows that
-the tests import the copy.
+limit of TIMEOUT seconds, and reports the fault as killed (a test
+failed), survived (every test passed) or timed out.  A timeout counts as
+killed, and is a finding of its own: some loop ran without a bound.
+Before any fault, the same tests run once on an unedited copy and must
+pass.  A fault whose tests ran against some other copy of the package
+than the edited one would show up as surviving.
 
 Run from anywhere, with pytest and hypothesis installed:
 
-    python3 tests/planted_faults.py [--timeout SECONDS] [NAME ...]
+    python3 tests/planted_faults.py
 
-NAME picks faults by name; all run by default.  The exit status is 1 when
-a fault survives, an edit is stale or the unedited copy fails, and 0
-otherwise.  pytest does not collect this file, since its name does not
+The exit status is 1 when a fault survives, an edit is stale or the
+unedited copy fails, and 0 otherwise.  pytest does not collect this file, since its name does not
 start with "test_".
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -34,6 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120.0  # seconds allowed for one fault's tests
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ FAULTS = (
           ("tests/test_groups.py::test_row_products_and_inverses_agree_with_the_product",)),
     Fault("reversed-permutation-row-product", "cct/groups.py",
           "map(left(order[a]), map(order.__getitem__, ys))",
-          "(index_mul(y, a) for y in ys)",
+          "(left(order[y])(order[a]) for y in ys)",
           ("tests/test_groups.py::test_row_products_and_inverses_agree_with_the_product",)),
     Fault("inverse-is-the-element", "cct/groups.py",
           "        known = self._inverses\n",
@@ -80,7 +80,7 @@ FAULTS = (
 )
 
 
-def run_tests(src: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, float]:
+def run_tests(src: Path, tests: tuple[str, ...], timeout: float = TIMEOUT) -> tuple[str, float]:
     """('passed' | 'failed' | 'timed out', seconds) for the tests run on the
     package under `src`."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -100,26 +100,16 @@ def copy_source(into: Path) -> Path:
     return src
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="faults to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds allowed for one fault's tests (default 120)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {f.name for f in FAULTS}
-    if unknown:
-        parser.error(f"unknown faults: {', '.join(sorted(unknown))}")
-    faults = [f for f in FAULTS if not args.names or f.name in args.names]
-
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="planted-") as tmp:
-        control = sorted({t for f in faults for t in f.tests})
+        control = sorted({t for f in FAULTS for t in f.tests})
         outcome, seconds = run_tests(copy_source(Path(tmp) / "control"), tuple(control),
-                                     args.timeout * len(faults))
+                                     TIMEOUT * len(FAULTS))
         print(f"{'unedited':<10} {'control':<34} {seconds:6.1f}s  {outcome}")
         if outcome != "passed":
             return 1
-        for fault in faults:
+        for fault in FAULTS:
             src = copy_source(Path(tmp) / fault.name)
             target = src / fault.path
             text = target.read_text()
@@ -129,7 +119,7 @@ def main(argv=None) -> int:
                 bad += 1
                 continue
             target.write_text(text.replace(fault.old, fault.new))
-            outcome, seconds = run_tests(src, fault.tests, args.timeout)
+            outcome, seconds = run_tests(src, fault.tests)
             verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
             bad += verdict == "survived"
             print(f"{verdict:<10} {fault.name:<34} {seconds:6.1f}s", flush=True)

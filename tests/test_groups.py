@@ -1063,8 +1063,7 @@ def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
 
 def test_inverse_walk_stops_on_a_product_that_is_not_a_group():
     # no power of 1 is 0 under min(a + b, 3): the walk stops after |G| steps
-    group = cct.groups._bfs_group(
-        0, [1], cct.groups._left_multipliers(lambda a, b: min(a + b, 3)), 10, None)[0]
+    group = cct.groups._bfs_group(0, [1], lambda a, b: min(a + b, 3), 10, None)[0]
     assert group.order == 4
     with pytest.raises(AssertionError, match="identity"):
         group.inv(1)
