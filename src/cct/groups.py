@@ -244,8 +244,7 @@ class Subgroup:
         """The subgroup as a standalone FiniteGroup (labels inherited), generated
         by `_generating_set`, the same set `is_normal` conjugates."""
         gens = _generating_set(self) or [0]
-        return _bfs_group(0, gens, self.parent.mul, self.order + 1,
-                          self.parent.label)[0]
+        return _bfs_group(0, gens, self.parent.mul, self.order + 1, self.parent.label)[0]
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -388,9 +387,8 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     order, and the group is given those orders.  Each raw product is one
     call of a left multiplier (`_left_multipliers`), built once per
     element: the BFS applies each element's to the generators, n |gens|
-    products.  Up to
-    CAYLEY_TABLE_MAX elements the group's product is a Cayley table built
-    along the BFS tree: if a was first reached as p * g, then x_a x_j =
+    products.  Up to CAYLEY_TABLE_MAX elements the group's product is a
+    Cayley table built along the BFS tree: if a was first reached as p * g, then x_a x_j =
     x_p (g x_j), so row a is row p (built before it) read through g's
     left-multiplication column L_g[j] = pos[g x_j], g's multiplier applied
     to each element, at n products per generator on a tree edge (2 n

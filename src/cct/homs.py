@@ -384,8 +384,7 @@ def _chain_steps(domain: FiniteGroup) -> list[_Level]:
     levels = []
     mapped = {0}
     for j in range(len(gens)):
-        order, pos, parent, edge = _bfs_order(0, gens[:j + 1], mul,
-                                              domain.order + 1)
+        order, pos, parent, edge = _bfs_order(0, gens[:j + 1], mul, domain.order + 1)
         rank = {x: r for r, x in enumerate(x for x in order if x not in mapped)}
         steps, tree = [], set()
         for x in rank:

@@ -634,8 +634,8 @@ def realize(pres: Presentation, max_cosets: int | None = None) -> FiniteGroup:
 
     names = pres.generators
     sep = "" if all(len(name) == 1 for name in names) else "*"
-    group = _bfs_group(0, [perm[0] for perm in action], follow,
-                       config.order_max(), lambda c: sep.join(names[s] for s in paths[c]) or "1")[0]
+    group = _bfs_group(0, [perm[0] for perm in action], follow, config.order_max(),
+                       lambda c: sep.join(names[s] for s in paths[c]) or "1")[0]
     if group.order != ct.num_cosets:
         raise AssertionError("regular action closure disagrees with coset count")
     return group
