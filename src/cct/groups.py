@@ -22,15 +22,16 @@ of ys through row x on a table and x's multiplier mapped over ys
 otherwise; the closures, coset labels and the subgroup walk multiply whole
 cosets with it, and a closure stops by Lagrange's theorem once it holds
 more than a proper subgroup can.  A group keeps no BFS tree: each inverse
-is computed along it when first read, by one rule for every backing, the
-tree found again from the product.  Normality is
-decided on a generating set of the subgroup, by one rule (`_normal`), at
-most log2 |H| conjugates per group generator instead of |H|.  A group or
-subgroup never changes after construction, so what it determines is
-computed once and kept while it lives: by `cached_property` what it reads
-in its own loops, by `_memo` what other code derives from it.  A
-permutation group is given its element orders when it is built, read off
-the same walk of each element's cycles as its label.
+is computed when first read, by one rule for every backing, x^-1 = x^(m-1)
+read from the order m of x by repeated squaring.  The orders come from one
+power walk, which stops after |G| steps on a product that is not a
+group's.  Normality is decided on a generating set of the subgroup, by one
+rule (`_normal`), at most log2 |H| conjugates per group generator instead
+of |H|.  A group or subgroup never changes after construction, so what it
+determines is computed once and kept while it lives: by `cached_property`
+what it reads in its own loops, by `_memo` what other code derives from
+it.  A permutation group is given its element orders when it is built,
+read off the same walk of each element's cycles as its label.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class FiniteGroup:
     A plain record: `mul` is the index-level product and `mul_row` the row
     product that `_bfs_group` chose for the group's backing; `given_orders`
     holds the element orders when the construction read them off its raw
-    elements, and is None otherwise.  Inverses are derived from `mul` and
-    the generators, each on its first read (`inv`).
+    elements, and is None otherwise.  Each inverse is derived on its first
+    read (`inv`) as x^(m-1), m the order of x.
     """
 
     def __init__(self, order, mul, mul_row, generators, labels, backing, given_orders=None):
@@ -122,15 +123,20 @@ class FiniteGroup:
         orders with its labels, read off each permutation's cycles by
         `from_permutations`.  Any other group walks powers: one walk of <x>
         sets the order of every power of x, since x^k has order
-        m / gcd(m, k)."""
+        m / gcd(m, k).  m divides |G|, so a walk that passes |G| steps
+        shows a product that is not a group's and raises AssertionError."""
         if self.given_orders is not None:
             return self.given_orders
         orders = [0] * self.order
         for x in range(self.order):
             if not orders[x]:
                 powers = [x]
-                while powers[-1] != 0:
+                for _ in range(self.order):
+                    if powers[-1] == 0:
+                        break
                     powers.append(self.mul(powers[-1], x))
+                else:
+                    raise AssertionError(f"no power of element {x} is the identity")
                 m = len(powers)
                 for k, y in enumerate(powers, 1):
                     if not orders[y]:
@@ -138,50 +144,20 @@ class FiniteGroup:
         return orders
 
     @cached_property
-    def _generator_inverses(self) -> list[int]:
-        """g^-1 = g^(m-1) for each stored generator g of order m, by walking
-        the powers of g.  m divides |G|, so a walk that passes |G| steps
-        shows a product that is not a group's and raises AssertionError."""
-        mul = self.mul
-        out = []
-        for g in self.generators:
-            y = g
-            for _ in range(self.order):
-                z = mul(y, g)
-                if z == 0:
-                    break
-                y = z
-            else:
-                raise AssertionError(f"no power of generator {g} is the identity")
-            out.append(y)
-        return out
-
-    @cached_property
     def _inverses(self) -> dict[int, int]:
         """The inverses read so far, by element."""
         return {0: 0}
 
     def inv(self, x: int) -> int:
-        """x^-1, computed along the BFS tree when first read and then kept.
-
-        Element a > 0 was first reached as p g for the least p with p g = a
-        for some generator g, that is the least p = a g^-1, so its BFS
-        parent comes from one product per generator, and a^-1 = g^-1 p^-1.
-        The walk climbs from x to the nearest element whose inverse is
-        known, each step to a smaller index, so it ends."""
+        """x^-1 = x^(m-1) for x of order m, by repeated squaring when first
+        read and then kept: at most 2 log2 m products once the element
+        orders are known."""
         known = self._inverses
         if x in known:
             return known[x]
-        path = []
-        while x not in known:
-            p, ginv = min((self.mul(x, ginv), ginv) for ginv in self._generator_inverses)
-            if p >= x:
-                raise AssertionError(f"element {x} has no BFS parent: the product is not a group's")
-            path.append((x, ginv))
-            x = p
-        y = known[x]
-        for a, ginv in reversed(path):
-            y = known[a] = self.mul(ginv, y)
+        if not 0 <= x < self.order:
+            raise ValueError(f"element {x} is not in range({self.order})")
+        y = known[x] = _power(self.mul, x, self._orders[x] - 1)
         return y
 
     def element_order(self, x: int) -> int:
@@ -398,8 +374,9 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     read through ys, one `_compose`.  Above it the product multiplies the
     raw elements and looks the result up in the index, under the name
     `backing`, and a row product maps one multiplier, x's, over the raw
-    elements of ys.  The group keeps no tree: `FiniteGroup.inv` finds it
-    again from the product.
+    elements of ys.  The group keeps no tree: `FiniteGroup.inv` reads x^-1
+    as x^(m-1) from the order m of x, which a power walk of at most |G|
+    steps finds when the orders were not given.
     """
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     left = _left_multipliers(mul)

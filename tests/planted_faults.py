@@ -71,6 +71,10 @@ FAULTS = (
           "        known = self._inverses\n",
           "        return x\n        known = self._inverses\n",
           ("tests/test_groups.py::test_inverses_invert_under_the_product",)),
+    Fault("inverse-two-powers-long", "cct/groups.py",
+          "self._orders[x] - 1",
+          "self._orders[x] + 1",
+          ("tests/test_groups.py::test_inverses_invert_under_the_product",)),
     Fault("normal-on-first-generator", "cct/groups.py",
           "return all(y in members for _, _, y in _conjugates(group, gens))",
           "return all(y in members for _, _, y in _conjugates(group, list(gens)[:1]))",

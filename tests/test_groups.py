@@ -1057,16 +1057,30 @@ def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
     assert built == s7.order * len(s7.generators) <= 2 * s7.order * len(s7.generators)
     cycle = s7.generators[1]
     assert s7.mul(cycle, s7.inv(cycle)) == 0
-    # the generators' power walks (1 + 6 products) and one step up the tree
-    assert built < calls[7] <= built + 20
+    # the 7-cycle's inverse is its sixth power by squaring (3 products),
+    # read off its given order, and 1 more for the check
+    assert calls[7] == built + 4
 
 
 def test_inverse_walk_stops_on_a_product_that_is_not_a_group():
-    # no power of 1 is 0 under min(a + b, 3): the walk stops after |G| steps
-    group = cct.groups._bfs_group(0, [1], lambda a, b: min(a + b, 3), 10, None)[0]
-    assert group.order == 4
-    with pytest.raises(AssertionError, match="identity"):
-        group.inv(1)
+    # no power of 1 is 0 under min(a + b, 3): the walk stops after |G| steps,
+    # whether an inverse or the orders asked for it
+    for read in (lambda group: group.inv(1), lambda group: group.element_orders()):
+        group = cct.groups._bfs_group(0, [1], lambda a, b: min(a + b, 3), 10, None)[0]
+        assert group.order == 4
+        with pytest.raises(AssertionError, match="identity"):
+            read(group)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cct.cyclic(5),
+    lambda: cct.symmetric(7),
+], ids=["c5", "s7"])
+def test_inverse_of_an_index_outside_the_group_is_refused(build):
+    group = build()
+    for x in (-1, group.order):
+        with pytest.raises(ValueError, match=f"element {x} is not in range"):
+            group.inv(x)
 
 
 @pytest.mark.parametrize("build, backing", [
