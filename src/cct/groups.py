@@ -25,13 +25,14 @@ more than a proper subgroup can.  A group keeps no BFS tree: each inverse
 is computed when first read, by one rule for every backing, x^-1 = x^(m-1)
 read from the order m of x by repeated squaring.  The orders come from one
 power walk, which stops after |G| steps on a product that is not a
-group's.  Normality is decided on a generating set of the subgroup, by one
-rule (`_normal`), at most log2 |H| conjugates per group generator instead
-of |H|.  A group or subgroup never changes after construction, so what it
-determines is computed once and kept while it lives: by `cached_property`
-what it reads in its own loops, by `_memo` what other code derives from
-it.  A permutation group is given its element orders when it is built,
-read off the same walk of each element's cycles as its label.
+group's, as does the power walk of a closure's first seed.  Normality is
+decided on a generating set of the subgroup, by one rule (`_normal`), at
+most log2 |H| conjugates per group generator instead of |H|.  A group or
+subgroup never changes after construction, so what it determines is
+computed once and kept while it lives: by `cached_property` what it reads
+in its own loops, by `_memo` what other code derives from it.  A
+permutation group is given its element orders when it is built, read off
+the same walk of each element's cycles as its label.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial, wraps
 from itertools import chain
 from operator import itemgetter
-from types import FunctionType
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from . import config
@@ -106,6 +106,12 @@ class FiniteGroup:
     holds the element orders when the construction read them off its raw
     elements, and is None otherwise.  Each inverse is derived on its first
     read (`inv`) as x^(m-1), m the order of x.
+
+    `mul`, `mul_row`, `label` and `element_order` read their indices
+    unchecked, since they run on every product: an index outside
+    range(order) gives a wrong answer or an IndexError.  The entry points
+    that check are `inv`, `cct.element_order`, `subgroup_generated`,
+    `normal_closure` and `Subgroup(...)`; each raises ValueError.
     """
 
     def __init__(self, order, mul, mul_row, generators, labels, backing, given_orders=None):
@@ -302,16 +308,11 @@ def _compose(p: Sequence[int], q) -> tuple[int, ...]:
 def _left_multipliers(mul: Callable) -> Callable:
     """x -> (y -> mul(x, y)), the left multipliers of a two-argument
     product, each built once for many y.  The permutation product
-    `_compose` has `_perm_left`.  A Python function has `mul.__get__`,
-    which binds x as its first argument, as a method binds its instance:
-    called from Python code, the bound method runs about as fast as `mul`
-    itself.  Any other callable (a `partial`, a builtin, a bound method)
-    has a `partial`, one more call from C per product."""
-    if mul is _compose:
-        return _perm_left
-    if isinstance(mul, FunctionType):
-        return mul.__get__
-    return partial(partial, mul)
+    `_compose` has `_perm_left`.  Every other product is a Python function
+    (a lambda or a def), and has `mul.__get__`, which binds x as its first
+    argument, as a method binds its instance: called from Python code, the
+    bound method runs about as fast as `mul` itself."""
+    return _perm_left if mul is _compose else mul.__get__
 
 
 def _perm_left(p: Sequence[int]) -> Callable:
@@ -351,15 +352,14 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
 
 
 def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
-               label: Callable | None, backing: str = "element-index",
-               point_names: Sequence[str] | None = None) -> tuple[FiniteGroup, dict]:
+               label: Callable | None) -> tuple[FiniteGroup, dict]:
     """The group `gens` generate under the product `mul` in canonical BFS
     order, and its raw-element index (raw element -> element index).
 
     Generators keep their list order and duplicates ([] stands for the
-    identity); `label`, if given, names each raw element.  Raw elements
-    that are permutations come with `point_names` instead, the names of
-    their points: one walk of each element's cycles gives its label and its
+    identity); `label`, if given, names each raw element.  The product
+    `_compose` marks raw elements that are permutations: one walk of each
+    element's cycles, its points named 1..degree, gives its label and its
     order, and the group is given those orders.  Each raw product is one
     call of a left multiplier (`_left_multipliers`), built once per
     element: the BFS applies each element's to the generators, n |gens|
@@ -372,8 +372,9 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     its own multiplier, built once, reads each row off its parent's: a
     tuple of exactly n entries per row.  x times a sequence ys is row x
     read through ys, one `_compose`.  Above it the product multiplies the
-    raw elements and looks the result up in the index, under the name
-    `backing`, and a row product maps one multiplier, x's, over the raw
+    raw elements and looks the result up in the index, under the backing
+    "permutation-composition" for permutations and "element-index"
+    otherwise, and a row product maps one multiplier, x's, over the raw
     elements of ys.  The group keeps no tree: `FiniteGroup.inv` reads x^-1
     as x^(m-1) from the order m of x, which a power walk of at most |G|
     steps finds when the orders were not given.
@@ -383,7 +384,10 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     n = len(order)
     gen_idx = [pos[g] for g in gens]
     labels = orders = None
-    if point_names is not None:
+    backing = "element-index"
+    if mul is _compose:
+        backing = "permutation-composition"
+        point_names = _point_names(len(identity))
         labels, orders = [], []
         for perm in order:
             name, m = _cycle_walk(perm, point_names)
@@ -574,8 +578,7 @@ def from_permutations(gens: Sequence[Sequence[int]], degree: int) -> FiniteGroup
             raise ValueError(f"{g} is not a permutation of degree {degree}")
     # symbol-for-symbol generator list: duplicates kept so realized
     # presentations stay aligned with their generator symbols
-    return _bfs_group(identity, gen_perms, _compose, config.order_max(), None,
-                      "permutation-composition", _point_names(degree))[0]
+    return _bfs_group(identity, gen_perms, _compose, config.order_max(), None)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +752,9 @@ class _Closure:
     subgroup K has an order that is a multiple of |H| and divides n = |G|,
     so a proper K has at most |H| m / p = n / p elements, p the least prime
     dividing m = [G : H]: once the union holds more, K is G, and the
-    remaining cosets are not multiplied.
+    remaining cosets are not multiplied.  The first seed's cyclic group is
+    walked power by power, at most |G| steps, and a walk that passes them
+    raises AssertionError, as the element-order walk does.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -770,12 +775,15 @@ class _Closure:
         gens = self.gens
         gens.append(g)
         if len(members) == 1:
-            # the first generator's closure is its cyclic group
+            # the first generator's closure is its cyclic group, of order
+            # dividing |G|
             y = g
-            while y != 0:
+            for _ in range(self.group.order):
                 members.add(y)
                 y = mul(y, g)
-            return
+                if y == 0:
+                    return
+            raise AssertionError(f"no power of element {g} is the identity")
         old = list(members)
         n = self.group.order
         proper_max = n // _least_prime(n // len(old))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import string
+import re
 from dataclasses import dataclass
 
 from . import config
@@ -120,44 +120,27 @@ class CosetTable:
 # parsing
 
 
-_NAME_START = set(string.ascii_letters + "_")
-_NAME_CHARS = set(string.ascii_letters + string.digits + "_")
+# One token per match: a symbol, an integer, an ASCII name, or any other
+# non-space character, which is refused.  `\d` is what str.isdecimal
+# accepts, the digits int() reads, so '²' is refused; '*' is tolerated as
+# an explicit product separator and makes no token, and `finditer` skips
+# the whitespace between matches.
+_TOKEN = re.compile(r"(?P<SYM>[-<>|,()^=])|\*|(?P<INT>\d+)"
+                    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)|(?P<BAD>\S)")
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        self._run()
-
-    def _run(self):
-        text = self.text
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c in "<>|,()^=-*":
-                # '*' is tolerated as an explicit product separator
-                if c != "*":
-                    self.tokens.append((c, c, i))
-                i += 1
-            elif c.isdecimal():  # digits int() reads; not '²'
-                j = i
-                while j < n and text[j].isdecimal():
-                    j += 1
-                self.tokens.append(("INT", text[i:j], i))
-                i = j
-            elif c in _NAME_START:
-                j = i
-                while j < n and text[j] in _NAME_CHARS:
-                    j += 1
-                self.tokens.append(("NAME", text[i:j], i))
-                i = j
-            else:
-                raise _err(text, i, f"unexpected character {c!r}", "a token")
-        self.tokens.append(("EOF", "", n))
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, position) tokens of `text`, ending in EOF; a
+    symbol is its own kind."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, word = m.lastgroup, m.group()
+        if kind == "BAD":
+            raise _err(text, m.start(), f"unexpected character {word!r}", "a token")
+        if kind is not None:  # '*' matches no group
+            tokens.append((word if kind == "SYM" else kind, word, m.start()))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
 
 
 def _err(text: str, pos: int, message: str, expected: str) -> ParseError:
@@ -169,7 +152,7 @@ def _err(text: str, pos: int, message: str, expected: str) -> ParseError:
 class _PresentationParser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokens(text)
         self.k = 0
 
     def peek(self):

@@ -75,6 +75,18 @@ FAULTS = (
           "self._orders[x] - 1",
           "self._orders[x] + 1",
           ("tests/test_groups.py::test_inverses_invert_under_the_product",)),
+    Fault("closure-walk-too-short", "cct/groups.py",
+          "for _ in range(self.group.order):",
+          "for _ in range(self.group.order - 2):",
+          ("tests/test_groups.py::test_left_coset_closure_and_labels_match_naive_oracles",)),
+    Fault("token-ascii-digits", "cct/presentations.py",
+          r"(?P<INT>\d+)",
+          r"(?P<INT>[0-9]+)",
+          ("tests/test_presentations.py::test_parse_superscript_digit_is_an_unexpected_character",)),
+    Fault("token-keeps-star", "cct/presentations.py",
+          r"(?P<SYM>[-<>|,()^=])|\*|",
+          r"(?P<SYM>[-<>|,()^=*])|\*|",
+          ("tests/test_presentations.py::test_parse_star_is_a_product_separator",)),
     Fault("normal-on-first-generator", "cct/groups.py",
           "return all(y in members for _, _, y in _conjugates(group, gens))",
           "return all(y in members for _, _, y in _conjugates(group, list(gens)[:1]))",

@@ -1064,8 +1064,10 @@ def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
 
 def test_inverse_walk_stops_on_a_product_that_is_not_a_group():
     # no power of 1 is 0 under min(a + b, 3): the walk stops after |G| steps,
-    # whether an inverse or the orders asked for it
-    for read in (lambda group: group.inv(1), lambda group: group.element_orders()):
+    # whether an inverse, the orders or a closure's first seed asked for it
+    for read in (lambda group: group.inv(1), lambda group: group.element_orders(),
+                 lambda group: cct.subgroup_generated(group, [1]),
+                 lambda group: cct.normal_closure(group, [1])):
         group = cct.groups._bfs_group(0, [1], lambda a, b: min(a + b, 3), 10, None)[0]
         assert group.order == 4
         with pytest.raises(AssertionError, match="identity"):
@@ -1077,10 +1079,19 @@ def test_inverse_walk_stops_on_a_product_that_is_not_a_group():
     lambda: cct.symmetric(7),
 ], ids=["c5", "s7"])
 def test_inverse_of_an_index_outside_the_group_is_refused(build):
+    # the entry points that check their indices; `mul` and its kin do not
     group = build()
     for x in (-1, group.order):
         with pytest.raises(ValueError, match=f"element {x} is not in range"):
             group.inv(x)
+        with pytest.raises(ValueError, match=f"element index {x} out of range"):
+            cct.element_order(group, x)
+        with pytest.raises(ValueError, match=f"element index {x} out of range"):
+            cct.subgroup_generated(group, [x])
+        with pytest.raises(ValueError, match=f"element index {x} out of range"):
+            cct.normal_closure(group, [x])
+        with pytest.raises(ValueError, match="subgroup members must lie in range"):
+            cct.Subgroup(group, {0, x})
 
 
 @pytest.mark.parametrize("build, backing", [

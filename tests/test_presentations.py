@@ -93,6 +93,26 @@ def test_parse_superscript_digit_is_an_unexpected_character():
     assert cct.parse_presentation("< a | a^٣ >") == cct.parse_presentation("< a | a^3 >")
 
 
+def test_parse_star_is_a_product_separator():
+    assert (cct.parse_presentation("<a, b | a*b*a^-1*b^-1>")
+            == cct.parse_presentation("<a, b | a b a^-1 b^-1>"))
+
+
+def test_parse_tabs_and_no_break_spaces_separate_tokens():
+    spaced = cct.parse_presentation("<a, b | a^2, b^3, (a b)^2>")
+    assert cct.parse_presentation("<a,\tb\t|\ta^2,\u00a0b^3,\u00a0(a\u00a0b)^2>") == spaced
+    # whitespace right before the closing '>' is skipped too
+    assert cct.parse_presentation("<a, b | a^2, b^3, (a b)^2 \t\n >") == spaced
+
+
+def test_parse_unexpected_character_on_a_later_line():
+    # the column counts from 0 at the start of the line
+    with pytest.raises(ParseError) as exc:
+        cct.parse_presentation("<a, b |\n  a^2, b# >")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+    assert "unexpected character '#'" in str(exc.value)
+
+
 def test_parse_unknown_generator():
     with pytest.raises(ParseError):
         cct.parse_presentation("<a | a b>")
