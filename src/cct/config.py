@@ -14,7 +14,9 @@ import os
 ORDER_MAX_DEFAULT = 20000
 
 # Up to this order a group's product reads a Cayley table ("cayley-table"),
-# built from 2 n |gens| products plus n^2 list reads (O(n^2) memory cliff).
+# built from 2 n |gens| products plus n list reads per row built: every row
+# of a table up to 256 elements, and in a larger one only the rows read,
+# each when first read (O(n^2) memory cliff once every row is read).
 # Above it the product multiplies the raw elements and looks the result up
 # in a hash index: "permutation-composition" for permutation groups,
 # "element-index" for the rest, realized presentations included.

@@ -10,22 +10,26 @@ Every group is built by `_bfs_group`, which fixes its product once.  It
 sees the raw product as left multipliers y -> x y, one built per element
 and mapped over many y: for a permutation, the `itemgetter` that reads y
 through it.  The BFS takes n |gens| raw products.  Up to CAYLEY_TABLE_MAX
-elements the product reads a full multiplication table ("cayley-table"),
+elements the product reads a multiplication table ("cayley-table"),
 built along the BFS tree from one left-multiplication column per
 generator: n |gens| more products, and each row one read of its tree
 parent's row through the column, whose multiplier is built once, in n^2
-memory.  Larger groups multiply the raw elements they were built from and
-look the product up in a hash index: "permutation-composition" for
-permutation groups, "element-index" for the rest.  The row product
-`mul_row(x, ys)`, x times each element of a sequence, is one `_compose`
-of ys through row x on a table and x's multiplier mapped over ys
-otherwise; the closures, coset labels and the subgroup walk multiply whole
-cosets with it, and a closure stops by Lagrange's theorem once it holds
-more than a proper subgroup can.  A group keeps no BFS tree: each inverse
-is computed when first read, by one rule for every backing, x^-1 = x^(m-1)
-read from the order m of x by repeated squaring.  The orders come from one
-power walk, which stops after |G| steps on a product that is not a
-group's, as does the power walk of a closure's first seed.  Normality is
+memory once every row is built.  Up to _EAGER_ROWS_MAX elements every row
+is built with the group; in a larger table a row is built when first
+read, after the unbuilt rows above it on its tree path, so an operation
+that reads few rows builds few.  Larger groups multiply the raw elements
+they were built from and look the product up in a hash index:
+"permutation-composition" for permutation groups, "element-index" for the
+rest.  The row product `mul_row(x, ys)`, x times each element of a
+sequence, is one `_compose` of ys through row x on a table and x's
+multiplier mapped over ys otherwise; the closures, coset labels and the
+subgroup walk multiply whole cosets with it, and a closure stops by
+Lagrange's theorem once it holds more than a proper subgroup can.  Each
+inverse is computed when first read, by one rule for every backing,
+x^-1 = x^(m-1) read from the order m of x by repeated squaring.  The
+orders come from one power walk, which reads each power x^(k+1) = x x^k
+off x's row and stops after |G| steps on a product that is not a group's,
+as does the power walk of a closure's first seed.  Normality is
 decided on a generating set of the subgroup, by one rule (`_normal`), at
 most log2 |H| conjugates per group generator instead of |H|.  A group or
 subgroup never changes after construction, so what it determines is
@@ -127,10 +131,12 @@ class FiniteGroup:
     def _orders(self) -> list[int]:
         """The order of every element.  A permutation group is given its
         orders with its labels, read off each permutation's cycles by
-        `from_permutations`.  Any other group walks powers: one walk of <x>
-        sets the order of every power of x, since x^k has order
-        m / gcd(m, k).  m divides |G|, so a walk that passes |G| steps
-        shows a product that is not a group's and raises AssertionError."""
+        `from_permutations`.  Any other group walks powers, reading each
+        x^(k+1) = x x^k off x's row, so a table whose rows are built on
+        first read builds few: one walk of <x> sets the order of every
+        power of x, since x^k has order m / gcd(m, k).  m divides |G|, so
+        a walk that passes |G| steps shows a product that is not a group's
+        and raises AssertionError."""
         if self.given_orders is not None:
             return self.given_orders
         orders = [0] * self.order
@@ -140,7 +146,7 @@ class FiniteGroup:
                 for _ in range(self.order):
                     if powers[-1] == 0:
                         break
-                    powers.append(self.mul(powers[-1], x))
+                    powers.append(self.mul(x, powers[-1]))
                 else:
                     raise AssertionError(f"no power of element {x} is the identity")
                 m = len(powers)
@@ -351,6 +357,17 @@ def _bfs_order(identity, gens: Sequence, mul: Callable,
     return order, pos, parent, edge
 
 
+# Up to this order `_bfs_group` builds every Cayley-table row at
+# construction; above it each row is built when first read.  Built and then
+# read in full (median of 31 alternating rounds, process time, cyclic
+# collector off, 2 shared cores, Python 3.11.7), lazy rows took 12-52%
+# longer than eager ones at orders 64-256 (cyclic and dihedral 64-256,
+# Z4^3, S5) and 1-10% longer at 360-1024 (A6, S6, cyclic and dihedral 512
+# and 1024), where a table takes 3-23 ms to build and an operation often
+# reads few of its rows.
+_EAGER_ROWS_MAX = 256
+
+
 def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
                label: Callable | None) -> tuple[FiniteGroup, dict]:
     """The group `gens` generate under the product `mul` in canonical BFS
@@ -364,20 +381,27 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     call of a left multiplier (`_left_multipliers`), built once per
     element: the BFS applies each element's to the generators, n |gens|
     products.  Up to CAYLEY_TABLE_MAX elements the group's product is a
-    Cayley table built along the BFS tree: if a was first reached as p * g, then x_a x_j =
-    x_p (g x_j), so row a is row p (built before it) read through g's
+    Cayley table built along the BFS tree: if a was first reached as p * g,
+    then x_a x_j = x_p (g x_j), so row a is row p read through g's
     left-multiplication column L_g[j] = pos[g x_j], g's multiplier applied
     to each element, at n products per generator on a tree edge (2 n
     |gens| with the BFS).  The column is a permutation of the indices, and
     its own multiplier, built once, reads each row off its parent's: a
-    tuple of exactly n entries per row.  x times a sequence ys is row x
-    read through ys, one `_compose`.  Above it the product multiplies the
+    tuple of exactly n entries per row, and one routine (`build`) builds
+    rows this way.  Up to _EAGER_ROWS_MAX elements it builds every row
+    here, in BFS order.  Above it a row stays None until first read
+    (`row`): a loop, since a tree can be n - 1 deep, climbs to the nearest
+    built ancestor, and each row on the way back down is built off its
+    parent's.  The product reads an unbuilt row's None as a TypeError, so
+    a built row costs one plain `table[a][b]`; the group keeps its tree
+    and columns.  x times a sequence ys is row x read through ys, one
+    `_compose`.  Above CAYLEY_TABLE_MAX the product multiplies the
     raw elements and looks the result up in the index, under the backing
     "permutation-composition" for permutations and "element-index"
     otherwise, and a row product maps one multiplier, x's, over the raw
-    elements of ys.  The group keeps no tree: `FiniteGroup.inv` reads x^-1
-    as x^(m-1) from the order m of x, which a power walk of at most |G|
-    steps finds when the orders were not given.
+    elements of ys.  `FiniteGroup.inv` reads x^-1 as x^(m-1) from the
+    order m of x, which a power walk of at most |G| steps finds when the
+    orders were not given.
     """
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     left = _left_multipliers(mul)
@@ -396,16 +420,37 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     elif label is not None:
         labels = [label(x) for x in order]
     if n <= config.CAYLEY_TABLE_MAX:
-        columns: dict[int, Callable] = {}
-        table = [tuple(range(n))]
-        for a in range(1, n):
-            col = columns.get(edge[a])
-            if col is None:
-                times = left(gens[edge[a]])
-                col = columns[edge[a]] = _perm_left([pos[times(x)] for x in order])
-            table.append(col(table[parent[a]]))
-        index_mul = lambda a, b: table[a][b]
-        mul_row = lambda a, ys: _compose(ys, table[a])
+        columns = [None] * len(gens)
+        for i in set(edge[1:]):
+            times = left(gens[i])
+            columns[i] = _perm_left([pos[times(x)] for x in order])
+        table = [tuple(range(n))] + [None] * (n - 1)
+
+        def build(rows):
+            """Build each of `rows`, in order, off its parent's built row."""
+            for b in rows:
+                table[b] = columns[edge[b]](table[parent[b]])
+
+        def row(a):
+            """Row a, built first if it is not, with every unbuilt row above
+            it on its tree path."""
+            path = []
+            b = a
+            while table[b] is None:
+                path.append(b)
+                b = parent[b]
+            build(reversed(path))
+            return table[a]
+
+        def index_mul(a, b):
+            try:
+                return table[a][b]
+            except TypeError:  # row a is not built yet
+                return row(a)[b]
+
+        mul_row = lambda a, ys: _compose(ys, table[a] or row(a))
+        if n <= _EAGER_ROWS_MAX:
+            build(range(1, n))
         backing = "cayley-table"
     else:
         index_mul = lambda a, b: pos[left(order[a])(order[b])]
@@ -776,11 +821,11 @@ class _Closure:
         gens.append(g)
         if len(members) == 1:
             # the first generator's closure is its cyclic group, of order
-            # dividing |G|
+            # dividing |G|, each power g y read off g's row
             y = g
             for _ in range(self.group.order):
                 members.add(y)
-                y = mul(y, g)
+                y = mul(g, y)
                 if y == 0:
                     return
             raise AssertionError(f"no power of element {g} is the identity")

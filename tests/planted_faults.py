@@ -45,6 +45,10 @@ class Fault:
     tests: tuple[str, ...]
 
 
+ROW_READ_TESTS = tuple(
+    f"tests/test_groups.py::test_rows_read_in_any_order_match_the_indexed_build[descending-{name}]"
+    for name in ("symmetric(5)", "symmetric(6)", "dihedral(512)", "from_cayley(1024)"))
+
 CLOSURE_TESTS = (
     "tests/test_groups.py::test_left_coset_closure_and_labels_match_naive_oracles",
     "tests/test_coreflections.py::test_generators_are_ordered_by_their_socles_and_radicals",
@@ -60,13 +64,21 @@ FAULTS = (
           "if len(members) >= proper_max:",
           CLOSURE_TESTS),
     Fault("reversed-table-row-product", "cct/groups.py",
-          "mul_row = lambda a, ys: _compose(ys, table[a])",
-          "mul_row = lambda a, ys: [table[y][a] for y in ys]",
+          "mul_row = lambda a, ys: _compose(ys, table[a] or row(a))",
+          "mul_row = lambda a, ys: [(table[y] or row(y))[a] for y in ys]",
           ("tests/test_groups.py::test_row_products_and_inverses_agree_with_the_product",)),
     Fault("reversed-permutation-row-product", "cct/groups.py",
           "map(left(order[a]), map(order.__getitem__, ys))",
           "(left(order[y])(order[a]) for y in ys)",
           ("tests/test_groups.py::test_row_products_and_inverses_agree_with_the_product",)),
+    Fault("lazy-row-parent-column", "cct/groups.py",
+          "table[b] = columns[edge[b]](table[parent[b]])",
+          "table[b] = columns[edge[parent[b]]](table[parent[b]])",
+          ROW_READ_TESTS),
+    Fault("lazy-row-walk-one-short", "cct/groups.py",
+          "while table[b] is None:",
+          "while table[parent[b]] is None:",
+          ROW_READ_TESTS),
     Fault("inverse-is-the-element", "cct/groups.py",
           "        known = self._inverses\n",
           "        return x\n        known = self._inverses\n",

@@ -2,7 +2,9 @@
 
 import collections
 import functools
+import gc
 import itertools
+import random
 import re
 
 import pytest
@@ -1037,14 +1039,34 @@ def counting_multiplier_calls(monkeypatch):
 
 
 def test_from_permutations_composes_only_along_the_tree(monkeypatch):
-    # n |gens| raw products for the BFS and n per generator column; one
-    # read per table row, each through its tree edge's column
+    # n |gens| raw products for the BFS and n per generator column.  A7 is
+    # above the eager bound, so building it reads no row; reading every
+    # row, deepest first, then takes one read per row, each through its
+    # tree edge's column.
+    gens = [cct.perm_from_cycles([[1, 2, 3]], 7), cct.perm_from_cycles([list(range(1, 8))], 7)]
+    _, _, parent, edge = cct.groups._bfs_order(tuple(range(7)), gens, cct.groups._compose, 2521)
     calls = counting_multiplier_calls(monkeypatch)
+    counting = cct.groups._perm_left
+    reads = []  # (row read, column read through), each by its first entry
+
+    def recording(p):
+        left = counting(p)
+        if len(p) < 2520:  # a raw product
+            return left
+        return lambda q: reads.append((q[0], p[0])) or left(q)
+
+    monkeypatch.setattr(cct.groups, "_perm_left", recording)
     a7 = cct.alternating(7)
-    assert a7.order == 2520 and a7.backing == "cayley-table"
+    assert a7.order == 2520 > cct.groups._EAGER_ROWS_MAX and a7.backing == "cayley-table"
     assert a7.order <= calls[7] <= 2 * a7.order * len(a7.generators)
+    assert calls[a7.order] == 0
+    for x in reversed(range(a7.order)):
+        a7.mul(x, 0)
     assert calls[a7.order] == a7.order - 1
     assert set(calls) == {7, a7.order}
+    # row p's first entry is p, and generator g's column's is g
+    assert sorted((a7.mul(p, g), p, g) for p, g in reads) == [
+        (a, parent[a], a7.generators[edge[a]]) for a in range(1, a7.order)]
 
 
 def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
@@ -1106,6 +1128,70 @@ def test_row_products_and_inverses_agree_with_the_product(build, backing):
         assert list(group.mul_row(x, ys)) == [group.mul(x, y) for y in ys]
     assert all(group.mul(x, group.inv(x)) == 0 == group.mul(group.inv(x), x)
                for x in range(group.order))
+
+
+@functools.cache
+def _renumbered_table_1024():
+    """The Cayley table of D128 x Q8, its elements renumbered at random: a
+    1024-element table that no BFS numbering produced."""
+    group = cct.direct_product(cct.dihedral(128), cct.quaternion())
+    n = group.order
+    new = list(range(n))
+    random.Random(34).shuffle(new)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y, xy in enumerate(group.mul_row(x, range(n))):
+            table[new[x]][new[y]] = new[xy]
+    return table
+
+
+# groups on both sides of the eager bound: S5's table is built whole, the
+# others build each row when first read
+_ROW_READ_BUILDS = {
+    "symmetric(5)": lambda: cct.symmetric(5),
+    "symmetric(6)": lambda: cct.symmetric(6),
+    "dihedral(512)": lambda: cct.dihedral(512),
+    "from_cayley(1024)": lambda: cct.from_cayley(_renumbered_table_1024()),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROW_READ_BUILDS))
+@pytest.mark.parametrize("reading", ["descending", "random"])
+def test_rows_read_in_any_order_match_the_indexed_build(name, reading, monkeypatch):
+    tabled = _ROW_READ_BUILDS[name]()
+    monkeypatch.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 100)
+    indexed = _ROW_READ_BUILDS[name]()
+    assert tabled.backing == "cayley-table" != indexed.backing
+    assert (tabled.order > cct.groups._EAGER_ROWS_MAX) == (name != "symmetric(5)")
+    xs = list(reversed(range(tabled.order)))
+    if reading == "random":
+        random.Random(7).shuffle(xs)
+    everything = range(tabled.order)
+    for k, x in enumerate(xs):
+        y = xs[-1 - k]
+        if k % 2:  # row x is first read by `mul` or by `mul_row`, in turn
+            assert tabled.mul(x, y) == indexed.mul(x, y)
+        assert list(tabled.mul_row(x, everything)) == list(indexed.mul_row(x, everything))
+        assert tabled.mul(x, y) == indexed.mul(x, y)
+    # after every row: inverses read the element orders' power walks
+    assert [tabled.inv(x) for x in xs] == [indexed.inv(x) for x in xs]
+
+
+def test_a_dropped_group_leaves_nothing_for_the_cyclic_collector():
+    # a table built row by row keeps its tree and columns, in no cycle
+    gc.collect()
+    gc.disable()
+    try:
+        a7, s6 = cct.alternating(7), cct.symmetric(6)
+        for group in (a7, s6):
+            assert group.order > cct.groups._EAGER_ROWS_MAX
+            for x in (group.order - 1, group.order - 2, group.order // 2):
+                group.mul(x, x)
+                group.mul_row(group.inv(x), [0, x])
+        del a7, s6, group
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("length", [1, 2, 7])
