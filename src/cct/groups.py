@@ -17,7 +17,10 @@ parent's row through the column, whose multiplier is built once, in n^2
 memory once every row is built.  Up to _EAGER_ROWS_MAX elements every row
 is built with the group; in a larger table a row is built when first
 read, after the unbuilt rows above it on its tree path, so an operation
-that reads few rows builds few.  Larger groups multiply the raw elements
+that reads few rows builds few.  Such a table conjugates through one map
+x -> g x g^-1 per stored generator g, built on the first conjugation off
+the generators' own rows, so conjugation builds no other row; every other
+group conjugates by two products.  Larger groups multiply the raw elements
 they were built from and look the product up in a hash index:
 "permutation-composition" for permutation groups, "element-index" for the
 rest.  The row product `mul_row(x, ys)`, x times each element of a
@@ -29,14 +32,15 @@ inverse is computed when first read, by one rule for every backing,
 x^-1 = x^(m-1) read from the order m of x by repeated squaring.  The
 orders come from one power walk, which reads each power x^(k+1) = x x^k
 off x's row and stops after |G| steps on a product that is not a group's,
-as does the power walk of a closure's first seed.  Normality is
-decided on a generating set of the subgroup, by one rule (`_normal`), at
-most log2 |H| conjugates per group generator instead of |H|.  A group or
-subgroup never changes after construction, so what it determines is
-computed once and kept while it lives: by `cached_property` what it reads
-in its own loops, by `_memo` what other code derives from it.  A
-permutation group is given its element orders when it is built, read off
-the same walk of each element's cycles as its label.
+as does the power walk of a closure's first seed.  Normality is decided
+on a generating set of the subgroup, by one rule (`_normal`), at most
+log2 |H| conjugates per group generator instead of |H|, and none in an
+abelian group.  A group or subgroup never changes after construction, so
+what it determines is computed once and kept while it lives: by
+`cached_property` what it reads in its own loops, by `_memo` what other
+code derives from it.  A permutation group is given its element orders
+when it is built, read off the same walk of each element's cycles as its
+label.
 """
 
 from __future__ import annotations
@@ -108,8 +112,10 @@ class FiniteGroup:
     A plain record: `mul` is the index-level product and `mul_row` the row
     product that `_bfs_group` chose for the group's backing; `given_orders`
     holds the element orders when the construction read them off its raw
-    elements, and is None otherwise.  Each inverse is derived on its first
-    read (`inv`) as x^(m-1), m the order of x.
+    elements, and is None otherwise; `build_conjugation_maps` builds
+    `conjugation_maps` on the first conjugation when the construction gave
+    it, and is None otherwise.  Each inverse is derived on its first read
+    (`inv`) as x^(m-1), m the order of x.
 
     `mul`, `mul_row`, `label` and `element_order` read their indices
     unchecked, since they run on every product: an index outside
@@ -118,7 +124,8 @@ class FiniteGroup:
     `normal_closure` and `Subgroup(...)`; each raises ValueError.
     """
 
-    def __init__(self, order, mul, mul_row, generators, labels, backing, given_orders=None):
+    def __init__(self, order, mul, mul_row, generators, labels, backing, given_orders=None,
+                 build_conjugation_maps=None):
         self.order = order
         self.mul = mul
         self.mul_row = mul_row
@@ -126,6 +133,16 @@ class FiniteGroup:
         self.labels = tuple(labels) if labels is not None else None
         self.backing = backing
         self.given_orders = given_orders
+        self.build_conjugation_maps = build_conjugation_maps
+
+    @cached_property
+    def conjugation_maps(self) -> list[tuple[int, ...]] | None:
+        """One map x -> g x g^-1 per stored generator g, built on the first
+        conjugation when the construction gave a builder, and None when
+        `_conjugates` multiplies instead."""
+        if self.build_conjugation_maps is None:
+            return None
+        return self.build_conjugation_maps()
 
     @cached_property
     def _orders(self) -> list[int]:
@@ -394,20 +411,25 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
     built ancestor, and each row on the way back down is built off its
     parent's.  The product reads an unbuilt row's None as a TypeError, so
     a built row costs one plain `table[a][b]`; the group keeps its tree
-    and columns.  x times a sequence ys is row x read through ys, one
-    `_compose`.  Above CAYLEY_TABLE_MAX the product multiplies the
-    raw elements and looks the result up in the index, under the backing
-    "permutation-composition" for permutations and "element-index"
-    otherwise, and a row product maps one multiplier, x's, over the raw
-    elements of ys.  `FiniteGroup.inv` reads x^-1 as x^(m-1) from the
-    order m of x, which a power walk of at most |G| steps finds when the
-    orders were not given.
+    and columns.  Such a group is also given a builder of one conjugation
+    map per stored generator g, run on its first conjugation: one walk of
+    the tree reads each inverse x_a^-1 = h^-1 x_p^-1 off its parent's
+    through the inverse permutation of row h, and three `_compose`s give
+    x -> I[L_g[I[L_g[x]]]] = g x g^-1, I the inverses and L_g row g, so
+    only the generators' rows are built.  x times a sequence ys is row x
+    read through ys, one `_compose`.  Above CAYLEY_TABLE_MAX the product
+    multiplies the raw elements and looks the result up in the index,
+    under the backing "permutation-composition" for permutations and
+    "element-index" otherwise, and a row product maps one multiplier, x's,
+    over the raw elements of ys.  `FiniteGroup.inv` reads x^-1 as x^(m-1)
+    from the order m of x, which a power walk of at most |G| steps finds
+    when the orders were not given.
     """
     order, pos, parent, edge = _bfs_order(identity, gens, mul, limit)
     left = _left_multipliers(mul)
     n = len(order)
     gen_idx = [pos[g] for g in gens]
-    labels = orders = None
+    labels = orders = conjugation_maps = None
     backing = "element-index"
     if mul is _compose:
         backing = "permutation-composition"
@@ -451,12 +473,24 @@ def _bfs_group(identity, gens: Sequence, mul: Callable, limit: int,
         mul_row = lambda a, ys: _compose(ys, table[a] or row(a))
         if n <= _EAGER_ROWS_MAX:
             build(range(1, n))
+        else:
+            def conjugation_maps():
+                """x -> g x g^-1 for each stored generator g, off the
+                generators' rows alone."""
+                lefts = [row(g) for g in gen_idx]
+                unlefts = [sorted(range(n), key=row_g.__getitem__) for row_g in lefts]
+                inverse = [0] * n
+                for a in range(1, n):
+                    inverse[a] = unlefts[edge[a]][inverse[parent[a]]]
+                return [_compose(_compose(_compose(row_g, inverse), row_g), inverse)
+                        for row_g in lefts]
         backing = "cayley-table"
     else:
         index_mul = lambda a, b: pos[left(order[a])(order[b])]
         mul_row = lambda a, ys: list(map(pos.__getitem__,
                                          map(left(order[a]), map(order.__getitem__, ys))))
-    return FiniteGroup(n, index_mul, mul_row, gen_idx or [0], labels, backing, orders), pos
+    return FiniteGroup(n, index_mul, mul_row, gen_idx or [0], labels, backing, orders,
+                       conjugation_maps), pos
 
 
 def _from_mul(n: int, mul: Callable[[int, int], int], gens: Sequence[int],
@@ -907,7 +941,18 @@ def _conjugates(group: FiniteGroup, xs: Iterable[int]) -> Iterator[tuple[int, in
     """(g, x, g x g^-1) for each x of `xs` in turn and each generator g of
     the group.  `xs` is read as it is iterated, so a list may grow while it
     is read: the one conjugation loop behind normal closures, normality
-    tests and conjugacy classes."""
+    tests and conjugacy classes.  A group with `conjugation_maps`, a table
+    built on first read, reads g x g^-1 off g's map and builds no row.
+    Every other group computes (g x) g^-1: an eager table has every row
+    built already, and a full map of a raw-element group would cost 2 n
+    raw products per generator."""
+    maps = group.conjugation_maps
+    if maps is not None:
+        conjugators = list(zip(group.generators, maps))
+        for x in xs:
+            for g, conjugate in conjugators:
+                yield g, x, conjugate[x]
+        return
     mul = group.mul
     conjugators = [(g, group.inv(g)) for g in group.generators]
     for x in xs:
@@ -928,7 +973,9 @@ def _normal(group: FiniteGroup, members: Collection[int], gens: Iterable[int]) -
     maps a generating set of the finite H into H it maps H onto H, and so
     does conjugation by g^-1, a power of g (Holt, Eick & O'Brien, Handbook
     of Computational Group Theory, 2005).  It costs |gens| |gens G|
-    conjugations: the one normality rule."""
+    conjugations, and none in an abelian group: the one normality rule."""
+    if group.is_abelian:  # every subgroup is normal
+        return True
     return all(y in members for _, _, y in _conjugates(group, gens))
 
 

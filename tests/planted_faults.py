@@ -49,6 +49,8 @@ ROW_READ_TESTS = tuple(
     f"tests/test_groups.py::test_rows_read_in_any_order_match_the_indexed_build[descending-{name}]"
     for name in ("symmetric(5)", "symmetric(6)", "dihedral(512)", "from_cayley(1024)"))
 
+CONJUGATION_TESTS = ("tests/test_groups.py::test_conjugation_maps_match_the_product",)
+
 CLOSURE_TESTS = (
     "tests/test_groups.py::test_left_coset_closure_and_labels_match_naive_oracles",
     "tests/test_coreflections.py::test_generators_are_ordered_by_their_socles_and_radicals",
@@ -79,6 +81,14 @@ FAULTS = (
           "while table[b] is None:",
           "while table[parent[b]] is None:",
           ROW_READ_TESTS),
+    Fault("conjugation-map-by-the-inverse", "cct/groups.py",
+          "inverse)\n                        for row_g in lefts]",
+          "inverse)\n                        for row_g in unlefts]",
+          CONJUGATION_TESTS),
+    Fault("inverse-walk-parent-edge", "cct/groups.py",
+          "inverse[a] = unlefts[edge[a]][inverse[parent[a]]]",
+          "inverse[a] = unlefts[edge[parent[a]]][inverse[parent[a]]]",
+          CONJUGATION_TESTS),
     Fault("inverse-is-the-element", "cct/groups.py",
           "        known = self._inverses\n",
           "        return x\n        known = self._inverses\n",

@@ -540,14 +540,19 @@ def test_subgroup_generated_matches_naive_closure(data):
 
 
 @st.composite
-def random_groups(draw):
+def random_groups(draw, backings=("table", "permutations")):
     """A group generated by up to three permutations of degree at most 5,
-    on a Cayley table or, with the table cap at 0, on its permutations."""
+    on one of `backings`: a Cayley table built whole, a table with every
+    row built on first read ("first-read", the eager bound at 0), or, with
+    the table cap at 0, its permutations."""
     degree = draw(st.integers(1, 5))
     perms = draw(st.lists(st.permutations(range(degree)).map(tuple), min_size=1, max_size=3))
+    backing = draw(st.sampled_from(backings))
     with pytest.MonkeyPatch.context() as mp:
-        if draw(st.booleans()):
+        if backing == "permutations":
             mp.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 0)
+        elif backing == "first-read":
+            mp.setattr(cct.groups, "_EAGER_ROWS_MAX", 0)
         return cct.from_permutations(perms, degree)
 
 
@@ -605,10 +610,12 @@ def naive_is_normal(group, members):
 
 
 @settings(max_examples=100)
-@given(random_groups())
-def test_is_normal_matches_conjugating_every_member(group):
-    for sub in cct.all_subgroups(group):
-        assert cct.is_normal(group, sub) == naive_is_normal(group, sub.members), sub
+@given(random_groups(), random_groups(("first-read",)))
+def test_is_normal_matches_conjugating_every_member(drawn, first_read):
+    # a table built on first read conjugates through one map per generator
+    for group in (drawn, first_read):
+        for sub in cct.all_subgroups(group):
+            assert cct.is_normal(group, sub) == naive_is_normal(group, sub.members), sub
 
 
 def test_radical_stages_are_normal_by_the_oracle(catalog24):
@@ -1069,6 +1076,17 @@ def test_from_permutations_composes_only_along_the_tree(monkeypatch):
         (a, parent[a], a7.generators[edge[a]]) for a in range(1, a7.order)]
 
 
+def test_slot_classes_build_no_row_beyond_the_generators(monkeypatch):
+    # conjugation reads one map per generator, built off the generators'
+    # own rows, so splitting A7's slots into classes builds no other row
+    calls = counting_multiplier_calls(monkeypatch)
+    a7 = cct.alternating(7)
+    assert a7.order > cct.groups._EAGER_ROWS_MAX and calls[a7.order] == 0
+    for m in (2, 3, 4):
+        cct.homs._slot_classes(a7, m)
+    assert calls[a7.order] == len(a7.generators) == 2
+
+
 def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
     # the BFS applies each element's multiplier to the generators once,
     # and no inverse is computed until one is read
@@ -1175,6 +1193,23 @@ def test_rows_read_in_any_order_match_the_indexed_build(name, reading, monkeypat
         assert tabled.mul(x, y) == indexed.mul(x, y)
     # after every row: inverses read the element orders' power walks
     assert [tabled.inv(x) for x in xs] == [indexed.inv(x) for x in xs]
+
+
+@pytest.mark.parametrize("name", ["symmetric(6)", "alternating(7)", "dihedral(512)",
+                                  "from_cayley(1024)"])
+def test_conjugation_maps_match_the_product(name):
+    # a table built on first read conjugates through one map per generator;
+    # an eager table and a permutation group multiply instead
+    build = {"alternating(7)": lambda: cct.alternating(7), **_ROW_READ_BUILDS}[name]
+    group = build()
+    assert group.order > cct.groups._EAGER_ROWS_MAX and group.backing == "cayley-table"
+    everything = range(group.order)
+    assert list(cct.groups._conjugates(group, everything)) == [
+        (g, x, group.mul(group.mul(g, x), group.inv(g)))
+        for x in everything for g in group.generators]
+    assert len(group.conjugation_maps) == len(group.generators)
+    assert cct.symmetric(5).conjugation_maps is None
+    assert cct.symmetric(7).conjugation_maps is None
 
 
 def test_a_dropped_group_leaves_nothing_for_the_cyclic_collector():

@@ -292,8 +292,13 @@ def brute_force_classes(group):
 
 
 def test_slot_classes_match_brute_force_conjugacy_classes(monkeypatch):
-    # an abelian group's classes are its elements, found without orbits
-    groups = [cct.symmetric(5), cct.alternating(5), cct.abelian([2, 6])]
+    # an abelian group's classes are its elements, found without orbits;
+    # each table is built whole and then row by row on first read, where
+    # conjugation reads one map per generator
+    groups = []
+    for eager_max in (cct.groups._EAGER_ROWS_MAX, 0):
+        monkeypatch.setattr(cct.groups, "_EAGER_ROWS_MAX", eager_max)
+        groups += [cct.symmetric(5), cct.alternating(5), cct.abelian([2, 6])]
     monkeypatch.setattr(cct.groups.config, "CAYLEY_TABLE_MAX", 100)
     groups.append(cct.from_permutations([(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], 6))
     assert groups[-1].backing == "permutation-composition"
@@ -306,6 +311,9 @@ def test_slot_classes_match_brute_force_conjugacy_classes(monkeypatch):
             expect = sorted((min(c), len(c)) for c in classes if m % orders[min(c)] == 0)
             assert list(got.items()) == expect
             assert sum(got.values()) == sum(1 for o in orders if m % o == 0)
+    # maps were built for the two non-abelian tables built on first read only
+    built = [vars(group).get("conjugation_maps") is not None for group in groups]
+    assert built == [False, False, False, True, True, False, False]
 
 
 # ---------------------------------------------------------------------------
