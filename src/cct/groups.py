@@ -825,15 +825,20 @@ class _Closure:
 
     `members` always holds a subgroup closed under the generators accepted
     so far.  A seed that is already a member is skipped; a new one adds
-    whole left cosets r H of the old subgroup H, each by one row product,
-    until the union is closed again (Holt, Eick & O'Brien, Handbook of
-    Computational Group Theory, 2005, section 4.1).  By Lagrange the new
-    subgroup K has an order that is a multiple of |H| and divides n = |G|,
-    so a proper K has at most |H| m / p = n / p elements, p the least prime
-    dividing m = [G : H]: once the union holds more, K is G, and the
-    remaining cosets are not multiplied.  The first seed's cyclic group is
-    walked power by power, at most |G| steps, and a walk that passes them
-    raises AssertionError, as the element-order walk does.
+    whole left cosets r H of the old subgroup H until the union is closed
+    again (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    2005, section 4.1).  Each coset's members are kept next to its
+    representative r, so a new coset (t r) H = t (r H) is one row product
+    read off the accepted generator t's row: on a table built on first
+    read, the rows built are those of the accepted generators, not one per
+    coset.  By Lagrange the new subgroup K has an order that is a multiple
+    of |H| and divides n = |G|, so a proper K has at most |H| m / p = n / p
+    elements, p the least prime dividing m = [G : H]: once the union holds
+    more, K is G, and the remaining cosets are not multiplied.  So at most
+    m cosets are ever held, and a walk that would hold more raises
+    AssertionError.  The first seed's cyclic group is walked power by
+    power, at most |G| steps, and a walk that passes them raises
+    AssertionError too, as the element-order walk does.
     """
 
     def __init__(self, group: FiniteGroup):
@@ -846,7 +851,10 @@ class _Closure:
         return len(self.members) == self.group.order
 
     def add(self, g: int) -> None:
-        """Close the subgroup under one more seed; a member is skipped."""
+        """Close the subgroup under one more seed; a member is skipped.
+
+        Each new coset is read through an accepted generator's row, and
+        the walk holds at most [G : H] cosets of the old subgroup H."""
         members = self.members
         if g in members:
             return
@@ -865,21 +873,26 @@ class _Closure:
             raise AssertionError(f"no power of element {g} is the identity")
         old = list(members)
         n = self.group.order
-        proper_max = n // _least_prime(n // len(old))
+        index = n // len(old)
+        proper_max = n // _least_prime(index)
         # the union of the cosets r * old is closed under left multiplication
         # by every accepted generator t, hence a subgroup, once each t * r
-        # lies in it (t r h = r' h' h); a new t * r starts a new coset
-        reps = [0]
-        for r in reps:
+        # lies in it (t r h = r' h' h); a new t * r starts a new coset,
+        # read as t * (r * old) off t's row, in the order of old
+        cosets = [(0, old)]
+        for r, coset in cosets:
             for t in gens:
                 tr = mul(t, r)
                 if tr not in members:
-                    members.update(mul_row(tr, old))
+                    new = mul_row(t, coset)
+                    members.update(new)
                     if len(members) > proper_max:
                         if len(members) < n:
                             members.update(range(n))
                         return
-                    reps.append(tr)
+                    if len(cosets) == index:
+                        raise AssertionError(f"more than [G : H] = {index} cosets")
+                    cosets.append((tr, new))
 
     def fork(self) -> "_Closure":
         """An independent copy, to grow apart from this one."""

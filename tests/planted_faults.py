@@ -6,8 +6,8 @@ applies the one edit.  The old text must occur exactly once, so a fault
 whose code has changed is reported as stale instead of being skipped.  It
 then runs the fault's tests against the copy in a subprocess with a time
 limit of TIMEOUT seconds, and reports the fault as killed (a test
-failed), survived (every test passed) or timed out.  A timeout counts as
-killed, and is a finding of its own: some loop ran without a bound.
+failed), survived (every test passed) or timed out.  A timeout is not a
+kill: some loop ran without a bound, a finding of its own.
 Before any fault, the same tests run once on an unedited copy and must
 pass.  A fault whose tests ran against some other copy of the package
 than the edited one would show up as surviving.
@@ -16,9 +16,9 @@ Run from anywhere, with pytest and hypothesis installed:
 
     python3 tests/planted_faults.py
 
-The exit status is 1 when a fault survives, an edit is stale or the
-unedited copy fails, and 0 otherwise.  pytest does not collect this file, since its name does not
-start with "test_".
+The exit status is 1 when a fault survives or times out, an edit is
+stale or the unedited copy fails, and 0 otherwise.  pytest does not
+collect this file, since its name does not start with "test_".
 """
 
 from __future__ import annotations
@@ -53,17 +53,22 @@ CONJUGATION_TESTS = ("tests/test_groups.py::test_conjugation_maps_match_the_prod
 
 CLOSURE_TESTS = (
     "tests/test_groups.py::test_left_coset_closure_and_labels_match_naive_oracles",
+    "tests/test_groups.py::test_closure_builds_only_the_accepted_seeds_rows",
     "tests/test_coreflections.py::test_generators_are_ordered_by_their_socles_and_radicals",
 )
 
 FAULTS = (
     Fault("lagrange-greatest-prime", "cct/groups.py",
-          "proper_max = n // _least_prime(n // len(old))",
-          "proper_max = n // _prime_factorization(n // len(old))[-1][0]",
+          "proper_max = n // _least_prime(index)",
+          "proper_max = n // _prime_factorization(index)[-1][0]",
           CLOSURE_TESTS),
     Fault("lagrange-at-the-bound", "cct/groups.py",
           "if len(members) > proper_max:",
           "if len(members) >= proper_max:",
+          CLOSURE_TESTS),
+    Fault("closure-coset-by-representative", "cct/groups.py",
+          "new = mul_row(t, coset)",
+          "new = mul_row(tr, coset)",
           CLOSURE_TESTS),
     Fault("reversed-table-row-product", "cct/groups.py",
           "mul_row = lambda a, ys: _compose(ys, table[a] or row(a))",
@@ -159,7 +164,7 @@ def main() -> int:
             target.write_text(text.replace(fault.old, fault.new))
             outcome, seconds = run_tests(src, fault.tests)
             verdict = {"failed": "killed", "passed": "survived"}.get(outcome, outcome)
-            bad += verdict == "survived"
+            bad += verdict != "killed"
             print(f"{verdict:<10} {fault.name:<34} {seconds:6.1f}s", flush=True)
     return 1 if bad else 0
 

@@ -646,3 +646,60 @@ def test_generator_laws_on_random_groups(a, b, g):
         if cct.is_constructible(b, a):
             assert (cct.radical(a, target).final.members
                     <= cct.radical(b, target).final.members)
+
+
+# ---------------------------------------------------------------------------
+# the classes' closure laws: A-generated groups are closed under quotients,
+# A-constructible groups under quotients and extensions, and R_A(G) is the
+# largest A-constructible normal subgroup of G.  Each law ties socle,
+# radical, quotient and as_group together, through member sets.
+
+
+def normal_sections(group):
+    """(N, N as a group, G/N) for each normal subgroup N of `group`."""
+    return [(n, n.as_group(), cct.quotient(group, n).target)
+            for n in cct.all_subgroups(group) if cct.is_normal(group, n)]
+
+
+def assert_closure_laws(a, g, sections):
+    """Q-gen, Q-con, E-con and R-largest over each (N, N, G/N) of
+    `sections`, and R-con."""
+    generated = cct.is_generated(a, g)
+    top = cct.radical(a, g).final
+    constructible = top.order == g.order
+    assert cct.is_constructible(a, top.as_group())  # R-con
+    for n, n_group, q in sections:
+        n_con, q_con = cct.is_constructible(a, n_group), cct.is_constructible(a, q)
+        assert not generated or cct.is_generated(a, q)  # Q-gen
+        assert not constructible or q_con  # Q-con
+        assert not (n_con and q_con) or constructible  # E-con
+        assert not n_con or n.members <= top.members  # R-largest
+
+
+def test_generated_and_constructible_groups_keep_their_closure_laws():
+    catalog = cct.build_small_catalog(16)
+    gens = [e.group for e in catalog if 2 <= e.group.order <= 12]
+    assert len(gens) == 30
+    sections = [(e.group, normal_sections(e.group)) for e in catalog]
+    for a in gens:
+        for g, normals in sections:
+            assert_closure_laws(a, g, normals)
+
+
+@settings(max_examples=40)
+@given(random_groups(), st.sampled_from(sorted(CHAIN_GENERATORS)))
+def test_closure_laws_on_random_groups(g, key):
+    assert_closure_laws(CHAIN_GENERATORS[key], g, normal_sections(g))
+
+
+def test_generated_groups_are_not_closed_under_extensions(standard_groups):
+    # Z/4 over its Z/2 is an extension of a Z/2-generated group by another,
+    # and Z/2-constructible, but its one image of Z/2 has order 2
+    z2, z4 = standard_groups["z2"], standard_groups["z4"]
+    n = cct.subgroup_generated(z4, [x for x in range(4) if z4.element_order(x) == 2])
+    assert n.order == 2 and cct.is_normal(z4, n)
+    assert cct.is_generated(z2, n.as_group())
+    assert cct.is_generated(z2, cct.quotient(z4, n).target)
+    assert cct.is_constructible(z2, z4)
+    assert not cct.is_generated(z2, z4)
+    assert cct.socle(z2, z4).members == n.members

@@ -1087,6 +1087,36 @@ def test_slot_classes_build_no_row_beyond_the_generators(monkeypatch):
     assert calls[a7.order] == len(a7.generators) == 2
 
 
+def test_closure_builds_only_the_accepted_seeds_rows(monkeypatch):
+    # a new coset (t r) H is read as t (r H), off the accepted seed t's row,
+    # so growing A7 through A4 (4 cosets of Z/3), A5 and a subgroup of order
+    # 120 builds the rows that reading each accepted seed's row alone builds
+    # on a second A7, tree-path climbs included
+    calls = counting_multiplier_calls(monkeypatch)
+    a7 = cct.alternating(7)
+    by_label = {a7.label(x): x for x in range(a7.order)}
+    seeds = [by_label[c] for c in ("(2 3 4)", "(1 2 3)", "(1 3 2)", "(3 4 5)", "(1 2)(6 7)",
+                                   "(1 2 3 4 5 6 7)")]
+    closure = cct.groups._Closure(a7)
+    grown = []
+    for x in seeds:
+        closure.add(x)
+        grown.append(set(closure.members))
+    assert [len(members) for members in grown] == [3, 12, 12, 60, 120, a7.order]
+    built = calls[a7.order]
+    twin = cct.alternating(7)
+    assert calls[a7.order] == built
+    for t in closure.gens:
+        twin.mul(t, 0)
+    assert calls[a7.order] - built == built
+    accepted = []
+    for k, x in enumerate(seeds):
+        if x not in naive_closure(a7, accepted):
+            accepted.append(x)
+        assert grown[k] == naive_closure(a7, seeds[:k + 1])
+    assert closure.gens == accepted == [seeds[0], seeds[1], *seeds[3:]]
+
+
 def test_permutation_group_reads_inverses_only_when_asked(monkeypatch):
     # the BFS applies each element's multiplier to the generators once,
     # and no inverse is computed until one is read
